@@ -24,7 +24,7 @@
 use mrl_db::{CellId, Design, PlacementState};
 use mrl_geom::SitePoint;
 use mrl_legalize::{
-    ilp_place_window, mll, solve_window_milp, EvalMode, FailReason, LegalizeError, LegalizeStats,
+    ilp_place_window, solve_window_milp, EvalMode, FailReason, LegalizeError, LegalizeStats,
     Legalizer, LegalizerConfig, LocalRegion, PowerRailMode,
 };
 use rand::rngs::SmallRng;
@@ -233,28 +233,30 @@ pub fn milp_local_cost(
     best
 }
 
-/// Re-exported for integration tests: exact-mode MLL on one target.
-#[doc(hidden)]
-pub fn mll_exact_outcome(
-    cfg: &LegalizerConfig,
-    design: &Design,
-    state: &mut PlacementState,
-    target: CellId,
-    pos: SitePoint,
-) -> Result<mrl_legalize::MllOutcome, mrl_db::DbError> {
-    let cfg = cfg.clone().with_eval_mode(EvalMode::Exact);
-    mll(design, state, &cfg, target, pos)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mrl_db::DesignBuilder;
-    use mrl_legalize::MllOutcome;
+    use mrl_legalize::{mll, LegalizeCtx};
     use mrl_metrics::{check_legal, RailCheck};
 
     fn relaxed() -> LegalizerConfig {
         LegalizerConfig::default().with_rail_mode(PowerRailMode::Relaxed)
+    }
+
+    /// Exact-mode MLL cost of inserting `target` at `pos`.
+    fn mll_exact_cost(
+        cfg: &LegalizerConfig,
+        design: &Design,
+        state: &mut PlacementState,
+        target: CellId,
+        pos: SitePoint,
+    ) -> f64 {
+        let cfg = cfg.clone().with_eval_mode(EvalMode::Exact);
+        mll(design, state, &cfg, target, pos, &mut LegalizeCtx::new(), 0)
+            .unwrap()
+            .expect("mll failed")
+            .cost
     }
 
     #[test]
@@ -270,15 +272,8 @@ mod tests {
         let cfg = relaxed();
         let pos = SitePoint::new(11, 0);
         let milp_cost = milp_local_cost(&cfg, &design, &state, t, pos).unwrap();
-        let out = mll_exact_outcome(&cfg, &design, &mut state, t, pos).unwrap();
-        let MllOutcome::Placed(eval) = out else {
-            panic!("mll failed")
-        };
-        assert!(
-            (milp_cost - eval.cost).abs() < 1e-6,
-            "{milp_cost} vs {}",
-            eval.cost
-        );
+        let cost = mll_exact_cost(&cfg, &design, &mut state, t, pos);
+        assert!((milp_cost - cost).abs() < 1e-6, "{milp_cost} vs {cost}");
         assert!((milp_cost - 2.0).abs() < 1e-6);
     }
 
@@ -295,15 +290,8 @@ mod tests {
         let cfg = relaxed();
         let pos = SitePoint::new(8, 0);
         let milp_cost = milp_local_cost(&cfg, &design, &state, t, pos).unwrap();
-        let out = mll_exact_outcome(&cfg, &design, &mut state, t, pos).unwrap();
-        let MllOutcome::Placed(eval) = out else {
-            panic!("mll failed")
-        };
-        assert!(
-            (milp_cost - eval.cost).abs() < 1e-6,
-            "{milp_cost} vs {}",
-            eval.cost
-        );
+        let cost = mll_exact_cost(&cfg, &design, &mut state, t, pos);
+        assert!((milp_cost - cost).abs() < 1e-6, "{milp_cost} vs {cost}");
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use ilp_local::{IlpLegalizer, LocalSolver};
 pub use tetris::TetrisLegalizer;
 
 #[doc(hidden)]
-pub use ilp_local::{milp_local_cost, mll_exact_outcome};
+pub use ilp_local::milp_local_cost;

@@ -6,7 +6,8 @@ use mrl_bench::timer::Bench;
 use mrl_db::{Design, PlacementState};
 use mrl_geom::{PowerRail, SiteRect};
 use mrl_legalize::{
-    find_best_insertion_point, realize, LegalizerConfig, LocalRegion, PowerRailMode, TargetSpec,
+    find_best_insertion_point, realize, LegalizeCtx, LegalizerConfig, LocalRegion, PowerRailMode,
+    TargetSpec,
 };
 use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
 
@@ -36,6 +37,7 @@ fn bench_stages() {
     };
 
     let b = Bench::new("mll_stages");
+    let mut ctx = LegalizeCtx::new();
     b.run("extract_local_region", || {
         LocalRegion::extract(&design, &state, window)
     });
@@ -46,10 +48,10 @@ fn bench_stages() {
     });
 
     b.run("find_best_insertion_point", || {
-        find_best_insertion_point(&region, &design, &target, &cfg)
+        find_best_insertion_point(&region, &design, &target, &cfg, &mut ctx)
     });
 
-    if let Some(point) = find_best_insertion_point(&region, &design, &target, &cfg) {
+    if let Some(point) = find_best_insertion_point(&region, &design, &target, &cfg, &mut ctx) {
         b.run("realize", || realize(&region, &point, &target));
     }
 }
@@ -60,6 +62,7 @@ fn bench_target_heights() {
     let bounds = design.floorplan().bounds();
     let (cx, cy) = (bounds.w / 2, bounds.h / 2);
     let b = Bench::new("enumeration_by_target_height");
+    let mut ctx = LegalizeCtx::new();
     for h in [1i32, 2, 3] {
         let window = SiteRect::new(cx - cfg.rx, cy - cfg.ry, 2 * cfg.rx + 3, 2 * cfg.ry + h);
         let region = LocalRegion::extract(&design, &state, window);
@@ -71,7 +74,7 @@ fn bench_target_heights() {
             rail: PowerRail::Vdd,
         };
         b.run(&format!("h{h}"), || {
-            find_best_insertion_point(&region, &design, &target, &cfg)
+            find_best_insertion_point(&region, &design, &target, &cfg, &mut ctx)
         });
     }
 }

@@ -7,8 +7,8 @@ use mrl_bench::timer::Bench;
 use mrl_db::{Design, DesignBuilder, PlacementState};
 use mrl_geom::{PowerRail, SitePoint, SiteRect};
 use mrl_legalize::{
-    find_best_insertion_point, realize, Legalizer, LegalizerConfig, LocalRegion, PowerRailMode,
-    TargetSpec,
+    find_best_insertion_point, realize, LegalizeCtx, Legalizer, LegalizerConfig, LocalRegion,
+    PowerRailMode, TargetSpec,
 };
 use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
 
@@ -31,6 +31,7 @@ fn row_region(n: usize) -> (Design, PlacementState) {
 }
 
 fn bench_enumeration_scaling() {
+    let mut ctx = LegalizeCtx::new();
     let cfg = LegalizerConfig::paper().with_rail_mode(PowerRailMode::Relaxed);
     let b = Bench::new("enumeration_scaling_cells");
     for n in [8usize, 16, 32, 64, 128] {
@@ -45,12 +46,13 @@ fn bench_enumeration_scaling() {
             rail: PowerRail::Vdd,
         };
         b.run(&format!("n{n}"), || {
-            find_best_insertion_point(&region, &design, &target, &cfg)
+            find_best_insertion_point(&region, &design, &target, &cfg, &mut ctx)
         });
     }
 }
 
 fn bench_realization_scaling() {
+    let mut ctx = LegalizeCtx::new();
     // Worst case for realization: a packed chain that all shifts.
     let cfg = LegalizerConfig::paper().with_rail_mode(PowerRailMode::Relaxed);
     let bench = Bench::new("realization_scaling_cells");
@@ -77,7 +79,7 @@ fn bench_realization_scaling() {
             y: 0,
             rail: PowerRail::Vdd,
         };
-        let point = find_best_insertion_point(&region, &design, &target, &cfg)
+        let point = find_best_insertion_point(&region, &design, &target, &cfg, &mut ctx)
             .expect("chain has room at the ends");
         // Force the position that pushes the whole chain.
         let mut forced = point;

@@ -4,13 +4,14 @@
 //! `NoopSink`, so every `if S::ENABLED { … }` guard — including the
 //! construction of the event payloads — must fold away at
 //! monomorphization. This bench pins that claim: `legalize` (which routes
-//! through `legalize_traced::<NoopSink>`) must run at the same speed as it
-//! did before the trace layer existed, and the printed ratio against a
-//! `RingSink` run shows what recording actually costs when switched on.
+//! through `legalize_with` on a `NoopSink` context) must run at the same
+//! speed as it did before the trace layer existed, and the printed ratio
+//! against a `RingSink` run shows what recording actually costs when
+//! switched on.
 
 use mrl_bench::timer::Bench;
 use mrl_db::{Design, PlacementState};
-use mrl_legalize::{Legalizer, LegalizerConfig, TraceBuf};
+use mrl_legalize::{LegalizeCtx, Legalizer, LegalizerConfig, TraceBuf};
 use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
 
 fn fixture(cells: usize, density: f64) -> Design {
@@ -35,10 +36,11 @@ fn main() {
     let ring = b.run("ring_sink", || {
         let mut buf = TraceBuf::default();
         let mut state = PlacementState::new(&design);
-        let mut sink = buf.lane(0);
-        let (_, res) = legalizer.legalize_traced(&design, &mut state, &mut sink);
-        res.expect("legalize");
-        buf.absorb(sink);
+        let mut ctx = LegalizeCtx::with_sink(buf.lane(0));
+        legalizer
+            .legalize_with(&design, &mut state, &mut ctx)
+            .expect("legalize");
+        buf.absorb(ctx.sink);
         buf.len()
     });
     println!(

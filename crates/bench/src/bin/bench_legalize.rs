@@ -9,8 +9,7 @@
 //! bench_legalize [--cells N] [--density F] [--seed S] [--threads N]
 //!                [--bench NAME] [--scale N] [--json PATH] [--no-json]
 //!                [--baseline PATH] [--gate-pct N] [--scale-sweep N1,N2,..]
-//!                [--util-sweep U1,U2,..] [--no-spatial-index]
-//!                [--legacy-layout] [--perf-counters] [--speedup-gate]
+//!                [--util-sweep U1,U2,..] [--perf-counters] [--speedup-gate]
 //! ```
 //!
 //! * `--cells N` — synthesize an ad-hoc design with `N` movable cells
@@ -35,13 +34,6 @@
 //!   at 0.9 the bare heuristic deadlocks and the escalation ladder
 //!   (ripple chains / height-binned repack / ILP residue) does the
 //!   remaining placements.
-//! * `--no-spatial-index` — run with the subrow spatial index disabled
-//!   (the pre-index linear-scan oracle path), for A/B throughput
-//!   comparisons.
-//! * `--legacy-layout` — probe the occupancy index through `pos[]` on
-//!   every comparison (the pre-interleaving layout, `IndexLayout::Legacy`)
-//!   instead of the cache-resident interleaved extent keys, for A/B
-//!   comparisons of the DESIGN.md §9 memory layout.
 //! * `--perf-counters` — wrap each sequential run in hardware counters
 //!   (`perf_event_open`: cycles, instructions, cache and branch misses)
 //!   and record the best run's raw counts plus IPC / miss ratios in the
@@ -67,8 +59,10 @@
 
 use mrl_bench::json::Json;
 use mrl_bench::perf::{PerfCounters, PerfSample};
-use mrl_db::{Design, IndexLayout, PlacementState};
-use mrl_legalize::{LegalizeStats, Legalizer, LegalizerConfig, MetricsSummary, TraceBuf};
+use mrl_db::{Design, PlacementState};
+use mrl_legalize::{
+    LegalizeCtx, LegalizeStats, Legalizer, LegalizerConfig, MetricsSummary, TraceBuf,
+};
 use mrl_metrics::displacement_stats;
 use mrl_synth::{
     generate, generate_witness, ispd2015_suite, BenchmarkSpec, GeneratorConfig, WitnessConfig,
@@ -191,12 +185,8 @@ fn main() {
     let mut gate_pct = 20.0f64;
     let mut sweep: Option<Vec<usize>> = None;
     let mut util_sweep: Option<Vec<f64>> = None;
-    let mut spatial_index = true;
     let mut speedup_gate = false;
-    let mut opts = RunOpts {
-        layout: IndexLayout::Interleaved,
-        perf: false,
-    };
+    let mut opts = RunOpts { perf: false };
 
     fn usage(msg: &str) -> ! {
         eprintln!("{msg}");
@@ -204,8 +194,7 @@ fn main() {
             "usage: bench_legalize [--cells N] [--density F] [--seed S] [--threads N]\n\
              \x20                     [--bench NAME] [--scale N] [--json PATH] [--no-json]\n\
              \x20                     [--baseline PATH] [--gate-pct N] [--scale-sweep N1,N2,..]\n\
-             \x20                     [--util-sweep U1,U2,..] [--no-spatial-index]\n\
-             \x20                     [--legacy-layout] [--perf-counters] [--speedup-gate]"
+             \x20                     [--util-sweep U1,U2,..] [--perf-counters] [--speedup-gate]"
         );
         std::process::exit(2);
     }
@@ -272,19 +261,15 @@ fn main() {
                 }
                 util_sweep = Some(list);
             }
-            "--no-spatial-index" => spatial_index = false,
-            "--legacy-layout" => opts.layout = IndexLayout::Legacy,
             "--perf-counters" => opts.perf = true,
             "--speedup-gate" => speedup_gate = true,
             other => usage(&format!("unknown argument: {other}")),
         }
     }
 
-    let lcfg = LegalizerConfig::paper()
-        .with_seed(seed)
-        .with_spatial_index(spatial_index);
+    let lcfg = LegalizerConfig::paper().with_seed(seed);
 
-    let util_points = util_sweep.map(|us| run_util_sweep(&us, seed, &lcfg, opts));
+    let util_points = util_sweep.map(|us| run_util_sweep(&us, seed, &lcfg));
 
     if let Some(mut counts) = sweep {
         // Ascending order: VmHWM is monotone, so each point's RSS reading
@@ -327,7 +312,7 @@ fn main() {
     let full = single_point(&design, &lcfg, seed, threads, true, opts);
 
     if let Some(path) = json_path {
-        let mut root = full_report(&design, &lcfg, seed, threads, &full, opts);
+        let mut root = full_report(&design, &lcfg, seed, threads, &full);
         root.set("available_parallelism", available as i64);
         if let Some(points) = util_points {
             root.set("util_sweep", points);
@@ -353,11 +338,9 @@ fn adhoc_spec(cells: usize, density: f64) -> BenchmarkSpec {
     )
 }
 
-/// Layout and measurement switches threaded through every run.
+/// Measurement switches threaded through every run.
 #[derive(Clone, Copy)]
 struct RunOpts {
-    /// Occupancy-index probe layout for every constructed state.
-    layout: IndexLayout,
     /// Wrap sequential runs in hardware counters (`--perf-counters`).
     perf: bool,
 }
@@ -401,7 +384,7 @@ fn single_point(
     let repeats = if full { 3 } else { 1 };
     let (seq_stats, seq_state, seq_perf) = (0..repeats)
         .map(|_| {
-            let mut state = PlacementState::with_layout(design, opts.layout);
+            let mut state = PlacementState::new(design);
             // Counters bracket exactly the legalization call, per run; the
             // best (min-wall) run's sample is the one reported.
             let counters = if opts.perf {
@@ -439,7 +422,7 @@ fn single_point(
     // baseline the pruned kernel must match bit-for-bit and outrun.
     let exh = if full {
         let exhaustive = Legalizer::new(lcfg.clone().with_seed(seed).with_prune(false));
-        let mut exh_state = PlacementState::with_layout(design, opts.layout);
+        let mut exh_state = PlacementState::new(design);
         let exh_stats = exhaustive
             .legalize(design, &mut exh_state)
             .expect("exhaustive legalization");
@@ -468,7 +451,7 @@ fn single_point(
         None
     };
 
-    let mut par_state = PlacementState::with_layout(design, opts.layout);
+    let mut par_state = PlacementState::new(design);
     let par_stats = legalizer
         .legalize_parallel(design, &mut par_state, threads)
         .expect("parallel legalization");
@@ -505,18 +488,18 @@ fn full_report(
     seed: u64,
     threads: usize,
     point: &PointResult,
-    opts: RunOpts,
 ) -> Json {
     let legalizer = Legalizer::new(lcfg.clone());
     // One traced parallel run for the metrics digest (histograms over
     // displacement, region size, retries). Untimed: RingSink recording
     // has real overhead, so its wall clock is reported only inside the
     // digest's run section, never used for throughput numbers.
-    let mut buf = TraceBuf::default();
-    let mut traced_state = PlacementState::with_layout(design, opts.layout);
-    let (traced_stats, traced_res) =
-        legalizer.legalize_parallel_traced(design, &mut traced_state, threads, &mut buf);
-    traced_res.expect("traced legalization");
+    let mut ctx = LegalizeCtx::with_sink(TraceBuf::default());
+    let mut traced_state = PlacementState::new(design);
+    legalizer
+        .legalize_parallel_with(design, &mut traced_state, threads, &mut ctx)
+        .expect("traced legalization");
+    let (traced_stats, buf) = (ctx.stats, ctx.sink);
     let mut metrics = MetricsSummary {
         design: design.name().to_string(),
         threads: traced_stats.threads,
@@ -542,14 +525,6 @@ fn full_report(
     benchmark.set("movable_cells", design.num_movable() as i64);
     benchmark.set("density", design.density());
     benchmark.set("seed", seed as i64);
-    benchmark.set("spatial_index", lcfg.spatial_index);
-    benchmark.set(
-        "index_layout",
-        match opts.layout {
-            IndexLayout::Interleaved => "interleaved",
-            IndexLayout::Legacy => "legacy",
-        },
-    );
 
     let (exh_stats, exh_state, prune_ratio) = point.exh.as_ref().expect("full point");
     let mut root = Json::obj();
@@ -581,7 +556,7 @@ const UTIL_SWEEP_CELLS: usize = 4_000;
 /// so a sub-100% placement rate is always the legalizer's fault). Entries
 /// carry the per-tier escalation counters — the dense points are the
 /// benchmark surface for the escalation ladder.
-fn run_util_sweep(utils: &[f64], seed: u64, lcfg: &LegalizerConfig, opts: RunOpts) -> Vec<Json> {
+fn run_util_sweep(utils: &[f64], seed: u64, lcfg: &LegalizerConfig) -> Vec<Json> {
     let mut points = Vec::new();
     for &u in utils {
         let wcfg = WitnessConfig::new(seed)
@@ -589,7 +564,7 @@ fn run_util_sweep(utils: &[f64], seed: u64, lcfg: &LegalizerConfig, opts: RunOpt
             .with_utilization(u);
         let witness = generate_witness(&wcfg).expect("witness generation");
         let design = witness.design;
-        let mut state = PlacementState::with_layout(&design, opts.layout);
+        let mut state = PlacementState::new(&design);
         let stats = Legalizer::new(lcfg.clone())
             .legalize(&design, &mut state)
             .expect("utilization-sweep legalization");
@@ -672,7 +647,7 @@ fn run_sweep(
         // The smallest full-protocol point doubles as the standard report
         // so `--baseline` gates keep reading `sequential.cells_per_sec`.
         if full && gate_sections.is_none() {
-            gate_sections = Some(full_report(&design, lcfg, seed, threads, &point, opts));
+            gate_sections = Some(full_report(&design, lcfg, seed, threads, &point));
             gate_throughput = Some(point.seq_stats.placed as f64 / point.seq_wall.max(1e-12));
         }
     }

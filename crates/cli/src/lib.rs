@@ -30,7 +30,7 @@ use mrl_bench::json::Json;
 use mrl_db::{Design, PlacementState};
 use mrl_gp::{GlobalPlacer, GpConfig};
 use mrl_legalize::{
-    refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeStats, Legalizer,
+    refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeCtx, LegalizeStats, Legalizer,
     LegalizerConfig, MetricsSummary, PowerRailMode, TraceBuf,
 };
 use mrl_metrics::{
@@ -565,13 +565,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let mut buf = TraceBuf::default();
             let (stats, outcome) = if tracing {
                 match o.threads {
-                    Some(n) => legalizer.legalize_parallel_traced(&design, &mut state, n, &mut buf),
+                    Some(n) => {
+                        let mut ctx = LegalizeCtx::with_sink(buf);
+                        let res =
+                            legalizer.legalize_parallel_with(&design, &mut state, n, &mut ctx);
+                        buf = ctx.sink;
+                        (ctx.stats, res)
+                    }
                     None => {
-                        let mut sink = buf.lane(0);
-                        let (stats, res) =
-                            legalizer.legalize_traced(&design, &mut state, &mut sink);
-                        buf.absorb(sink);
-                        (stats, res)
+                        let mut ctx = LegalizeCtx::with_sink(buf.lane(0));
+                        let res = legalizer.legalize_with(&design, &mut state, &mut ctx);
+                        buf.absorb(ctx.sink);
+                        (ctx.stats, res)
                     }
                 }
             } else {

@@ -57,5 +57,5 @@ pub use error::DbError;
 pub use floorplan::{Floorplan, Row, Segment};
 pub use ids::{CellId, NetId, PinId, RegionId, SegId};
 pub use net::{Net, Netlist, Pin, PinLocation};
-pub use placement::{gap_cross_check_count, DisplaceUndo, IndexLayout, PlacementState};
+pub use placement::{gap_cross_check_count, PlacementState, Savepoint};
 pub use region::FenceRegion;

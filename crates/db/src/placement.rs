@@ -36,17 +36,27 @@
 //!   mutations shift one contiguous block instead of a heap-scattered
 //!   `Vec`.
 //!
-//! The pre-interleaving probe path (derive x from `pos[]` on every
-//! comparison, exactly what the PR 6 index did) is kept behind
-//! [`IndexLayout::Legacy`] as the measurement baseline and oracle — both
-//! layouts are bit-identical in results, asserted by property tests and
-//! the 64k fuzz matrix.
+//! # Undo journal (DESIGN.md §11)
+//!
+//! Every transactional caller — an ECO batch, an escalation ripple chain
+//! or repack window, a detailed-placement move, a parallel stripe — undoes
+//! through one first-touch journal with nested savepoints. While a
+//! savepoint is open, each position mutation records the affected cell's
+//! position from before the savepoint the first time the cell is touched
+//! at that level; [`rollback_to`] restores exactly those cells, and
+//! [`journal`] is the list of cells the level moved, which callers also
+//! read as a displacement meter or a diff. Closing an inner savepoint
+//! folds its entries into the enclosing level, which then reads as a flat
+//! first-touch log from its own opening. With no savepoint open the
+//! journal costs one branch per mutation.
 //!
 //! [`cells_intersecting`]: PlacementState::cells_intersecting
 //! [`left_neighbor`]: PlacementState::left_neighbor
 //! [`place`]: PlacementState::place
 //! [`remove`]: PlacementState::remove
 //! [`shift_batch`]: PlacementState::shift_batch
+//! [`rollback_to`]: PlacementState::rollback_to
+//! [`journal`]: PlacementState::journal
 //! [`Csr`]: crate::csr::Csr
 
 use crate::csr::Csr;
@@ -92,39 +102,64 @@ pub fn gap_cross_check_count() -> u64 {
     }
 }
 
-/// Which probe path the per-segment cell lists use.
+/// First-touch undo journal with nested savepoints (see the module docs).
 ///
-/// Storage is identical in both modes (interleaved extents + CSR arenas);
-/// the layout chooses what a `partition_point` comparison *reads*. The
-/// legacy path exists for A/B measurement (`bench_legalize
-/// --legacy-layout`, `benches/index.rs`) and as the oracle the interleaved
-/// path is validated against — results are bit-identical by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexLayout {
-    /// Probe the interleaved `(x0, x1)` extent array — one contiguous
-    /// stream, no `pos[]` dereference (the cache-resident default).
-    #[default]
-    Interleaved,
-    /// Derive extents from `pos[cell]` + the cell width on every
-    /// comparison — the PR 6 probe pattern: a dependent random load per
-    /// `partition_point` step.
-    Legacy,
+/// `log` holds the entries of every open level back to back, each cell at
+/// most once per level; `marks[k]` is where level `k` starts. `stamp[cell]`
+/// is the index of the cell's newest entry and may be stale — an entry is
+/// trusted only if it still names the cell — so stamps never need
+/// clearing. `prev[i]` is the stamp entry `i` replaced, which is how
+/// closing a level finds the cells its parent already holds.
+#[derive(Clone, Debug, Default)]
+struct Journal {
+    marks: Vec<u32>,
+    log: Vec<(CellId, Option<SitePoint>)>,
+    prev: Vec<u32>,
+    stamp: Vec<u32>,
 }
 
-/// First-touch transaction journal (the `ChainCtx` pattern from the
-/// escalation tiers, generalized to the whole placement): while a
-/// transaction is open, every position mutation records the affected
-/// cell's *pre-transaction* position the first time the cell is touched.
-/// The epoch-stamped `touched` array makes the first-touch test O(1), so
-/// a transaction costs O(cells actually moved) regardless of design size;
-/// when no transaction is open the journal is a single branch per
-/// mutation.
-#[derive(Clone, Debug, Default)]
-struct TxnJournal {
-    active: bool,
-    epoch: u32,
-    touched: Vec<u32>,
-    log: Vec<(CellId, Option<SitePoint>)>,
+impl Journal {
+    /// Whether `log[at]` exists, is `cell`'s entry, and lies at or after
+    /// `from`.
+    fn holds(&self, cell: CellId, at: u32, from: u32) -> bool {
+        at >= from && self.log.get(at as usize).is_some_and(|&(c, _)| c == cell)
+    }
+
+    /// Closes the innermost level, folding its entries into the parent:
+    /// cells the parent already holds keep the parent's (older) entry.
+    fn close(&mut self) {
+        let start = self.marks.pop().expect("a savepoint is open");
+        let Some(&parent) = self.marks.last() else {
+            self.log.clear();
+            self.prev.clear();
+            return;
+        };
+        let mut w = start as usize;
+        for r in start as usize..self.log.len() {
+            let (cell, prior) = self.log[r];
+            let before = self.prev[r];
+            if before < start && self.holds(cell, before, parent) {
+                self.stamp[cell.index()] = before;
+                continue;
+            }
+            self.log[w] = (cell, prior);
+            self.prev[w] = before;
+            self.stamp[cell.index()] = w as u32;
+            w += 1;
+        }
+        self.log.truncate(w);
+        self.prev.truncate(w);
+    }
+}
+
+/// An open savepoint on a [`PlacementState`]'s undo journal, returned by
+/// [`PlacementState::savepoint`]. Close it with
+/// [`rollback_to`](PlacementState::rollback_to) or
+/// [`release`](PlacementState::release), innermost first.
+#[must_use = "a savepoint must be rolled back or released"]
+#[derive(Debug)]
+pub struct Savepoint {
+    level: usize,
 }
 
 /// Current placement of a design's movable cells.
@@ -141,21 +176,13 @@ pub struct PlacementState {
     seg_ids: Csr<CellId>,
     /// Per-segment sorted disjoint maximal free intervals `[x0, x1)`.
     gaps: Csr<(i32, i32)>,
-    layout: IndexLayout,
-    txn: TxnJournal,
+    journal: Journal,
 }
 
 impl PlacementState {
     /// Creates an empty placement (every movable cell unplaced) for a
-    /// design, with the default cache-resident index layout.
+    /// design.
     pub fn new(design: &Design) -> Self {
-        Self::with_layout(design, IndexLayout::default())
-    }
-
-    /// Like [`PlacementState::new`] with an explicit probe layout — the
-    /// A/B switch for `benches/index.rs` and `bench_legalize
-    /// --legacy-layout`. Both layouts produce bit-identical placements.
-    pub fn with_layout(design: &Design, layout: IndexLayout) -> Self {
         let segments = design.floorplan().segments();
         Self {
             pos: vec![None; design.num_cells()],
@@ -163,19 +190,13 @@ impl PlacementState {
             seg_xs: Csr::new(segments.len()),
             seg_ids: Csr::new(segments.len()),
             gaps: Csr::from_one_per_seg(segments.iter().map(|s| (s.x, s.right()))),
-            layout,
-            txn: TxnJournal::default(),
+            journal: Journal::default(),
         }
-    }
-
-    /// The probe layout this state was built with (clones inherit it).
-    pub fn layout(&self) -> IndexLayout {
-        self.layout
     }
 
     /// Bytes held by the occupancy index — the CSR arenas of cell extents,
     /// cell ids, and free gaps, counted at capacity. `pos[]`/`orient[]`
-    /// (the authoritative record) are excluded: they exist in any layout.
+    /// (the authoritative record) are excluded.
     pub fn index_bytes(&self) -> usize {
         self.seg_xs.bytes() + self.seg_ids.bytes() + self.gaps.bytes()
     }
@@ -389,50 +410,36 @@ impl PlacementState {
     }
 
     /// First list index of `seg` whose cell's right edge is > `x0` — the
-    /// lower bound of every span query. The interleaved path walks the
-    /// contiguous extent array; the legacy path chases `pos[]` per probe.
+    /// lower bound of every span query.
     #[inline]
-    fn list_lower(&self, design: &Design, seg: usize, x0: i32) -> usize {
-        match self.layout {
-            IndexLayout::Interleaved => self
-                .seg_xs
-                .slice(seg)
-                .partition_point(|&(_, right)| right <= x0),
-            IndexLayout::Legacy => self.seg_ids.slice(seg).partition_point(|&c| {
-                let p = self.pos[c.index()].expect("listed cell must be placed");
-                p.x + design.cell(c).width() <= x0
-            }),
-        }
+    fn list_lower(&self, seg: usize, x0: i32) -> usize {
+        self.seg_xs
+            .slice(seg)
+            .partition_point(|&(_, right)| right <= x0)
     }
 
     /// First list index of `seg` whose cell's left edge is >= `x1` — the
-    /// upper bound of every span query (the legacy probe needs only
-    /// `pos[]`, not the cell width, so no `design` parameter).
+    /// upper bound of every span query, and a cell's own slot when `x1` is
+    /// its left edge.
     #[inline]
     fn list_upper(&self, seg: usize, x1: i32) -> usize {
-        match self.layout {
-            IndexLayout::Interleaved => self
-                .seg_xs
-                .slice(seg)
-                .partition_point(|&(left, _)| left < x1),
-            IndexLayout::Legacy => self.seg_ids.slice(seg).partition_point(|&c| {
-                self.pos[c.index()].expect("listed cell must be placed").x < x1
-            }),
-        }
+        self.seg_xs
+            .slice(seg)
+            .partition_point(|&(left, _)| left < x1)
     }
 
     /// Cells of `seg` whose spans intersect the open interval `(x0, x1)`,
     /// as a subslice of the ordered list.
-    pub fn cells_intersecting(&self, design: &Design, seg: SegId, x0: i32, x1: i32) -> &[CellId] {
-        let lo = self.list_lower(design, seg.index(), x0);
+    pub fn cells_intersecting(&self, seg: SegId, x0: i32, x1: i32) -> &[CellId] {
+        let lo = self.list_lower(seg.index(), x0);
         let hi = self.list_upper(seg.index(), x1);
         &self.seg_ids.slice(seg.index())[lo..hi.max(lo)]
     }
 
     /// The nearest cell of `seg` entirely at or left of `x` (its right edge
     /// ≤ `x`), if any.
-    pub fn left_neighbor(&self, design: &Design, seg: SegId, x: i32) -> Option<CellId> {
-        let idx = self.list_lower(design, seg.index(), x);
+    pub fn left_neighbor(&self, seg: SegId, x: i32) -> Option<CellId> {
+        let idx = self.list_lower(seg.index(), x);
         idx.checked_sub(1)
             .map(|i| self.seg_ids.slice(seg.index())[i])
     }
@@ -464,7 +471,7 @@ impl PlacementState {
             // list; the cell-list scan runs only to name an occupant on
             // the error path.
             if !self.span_is_free(seg_id, rect.x, rect.right()) {
-                let occupants = self.cells_intersecting(design, seg_id, rect.x, rect.right());
+                let occupants = self.cells_intersecting(seg_id, rect.x, rect.right());
                 let occ = *occupants.first().expect("occupied span names an occupant");
                 return Err(DbError::Overlap {
                     cell: CellId::new(u32::MAX),
@@ -480,21 +487,12 @@ impl PlacementState {
     /// Index of `cell` (whose span starts at x = `x0`) in `seg`'s ordered
     /// list, via binary search — lists are strictly x-ordered, so the
     /// position is unique.
-    fn list_index_of(&self, design: &Design, seg: SegId, cell: CellId, x0: i32) -> usize {
-        let idx = match self.layout {
-            IndexLayout::Interleaved => self
-                .seg_xs
-                .slice(seg.index())
-                .partition_point(|&(left, _)| left < x0),
-            IndexLayout::Legacy => self.seg_ids.slice(seg.index()).partition_point(|&c| {
-                self.pos[c.index()].expect("listed cell must be placed").x < x0
-            }),
-        };
+    fn list_index_of(&self, seg: SegId, cell: CellId, x0: i32) -> usize {
+        let idx = self.list_upper(seg.index(), x0);
         debug_assert!(
             self.seg_ids.slice(seg.index()).get(idx) == Some(&cell),
             "cell not at its list slot"
         );
-        let _ = design;
         idx
     }
 
@@ -502,15 +500,7 @@ impl PlacementState {
     /// `seg`'s ordered list (extent keys and ids move together) and marks
     /// the span occupied in the gap index.
     fn seg_insert(&mut self, design: &Design, seg: usize, x0: i32, x1: i32, cell: CellId) {
-        let idx = match self.layout {
-            IndexLayout::Interleaved => self
-                .seg_xs
-                .slice(seg)
-                .partition_point(|&(left, _)| left < x0),
-            IndexLayout::Legacy => self.seg_ids.slice(seg).partition_point(|&c| {
-                self.pos[c.index()].expect("listed cell must be placed").x < x0
-            }),
-        };
+        let idx = self.list_upper(seg, x0);
         self.seg_xs.insert(seg, idx, (x0, x1));
         self.seg_ids.insert(seg, idx, cell);
         self.gap_occupy(seg, x0, x1);
@@ -522,7 +512,7 @@ impl PlacementState {
     /// in-block `copy_within` of the CSR arena replaces the old
     /// heap-`Vec::remove` on the per-segment vectors.
     fn seg_remove(&mut self, design: &Design, seg: SegId, cell: CellId, x0: i32, x1: i32) {
-        let idx = self.list_index_of(design, seg, cell, x0);
+        let idx = self.list_index_of(seg, cell, x0);
         self.seg_xs.remove(seg.index(), idx);
         let removed = self.seg_ids.remove(seg.index(), idx);
         debug_assert_eq!(removed, cell, "removed a different cell");
@@ -589,7 +579,7 @@ impl PlacementState {
             },
             other => other,
         })?;
-        self.note_txn(cell);
+        self.note(cell);
         self.pos[cell.index()] = Some(at);
         self.orient[cell.index()] = fp.parity().orient_on_row(c.rail(), c.height(), at.y);
         for seg in segs {
@@ -605,7 +595,7 @@ impl PlacementState {
     /// Returns [`DbError::NotPlaced`] if the cell is not placed.
     pub fn remove(&mut self, design: &Design, cell: CellId) -> Result<SitePoint, DbError> {
         let at = self.pos[cell.index()].ok_or(DbError::NotPlaced(cell))?;
-        self.note_txn(cell);
+        self.note(cell);
         let c = design.cell(cell);
         for row in at.y..at.y + c.height() {
             let seg = self
@@ -666,7 +656,7 @@ impl PlacementState {
                 let seg = self
                     .segment_at(design, row, at.x)
                     .expect("placed cell must be on segments");
-                let idx = self.list_index_of(design, seg, cell, at.x);
+                let idx = self.list_index_of(seg, cell, at.x);
                 touched.push((seg, idx, cell));
             }
         }
@@ -675,7 +665,7 @@ impl PlacementState {
         // batch's own internal rollback fires below.
         for &(cell, new_x) in moves {
             let at = self.pos[cell.index()].expect("validated above");
-            self.note_txn(cell);
+            self.note(cell);
             self.pos[cell.index()] = Some(SitePoint::new(new_x, at.y));
         }
         // Verify order and non-overlap against list neighbors.
@@ -744,15 +734,10 @@ impl PlacementState {
     ///
     /// All listed cells are lifted out first, then the destinations are
     /// placed, so moves within the batch never collide with each other —
-    /// the escalation tiers use this to rip up a subwindow and to restore a
-    /// rejected chain in one call. Destinations are validated for bounds,
-    /// fences, and overlap, but *not* rail parity (the batch is routinely a
-    /// rollback to a previously-observed configuration, which relaxed-mode
-    /// states satisfy without parity); callers that need parity enforce it
-    /// before building the batch.
-    ///
-    /// Returns a [`DisplaceUndo`] whose move list, fed back into this
-    /// method, restores the prior configuration.
+    /// the escalation tiers use this to rip up a subwindow in one call.
+    /// Destinations are validated for bounds, fences, and overlap, but
+    /// *not* rail parity; callers that need parity enforce it before
+    /// building the batch.
     ///
     /// # Errors
     ///
@@ -764,7 +749,7 @@ impl PlacementState {
         &mut self,
         design: &Design,
         moves: &[(CellId, Option<SitePoint>)],
-    ) -> Result<DisplaceUndo, DbError> {
+    ) -> Result<(), DbError> {
         for (i, &(cell, _)) in moves.iter().enumerate() {
             if moves[..i].iter().any(|&(c, _)| c == cell) {
                 return Err(DbError::Invalid(format!(
@@ -801,7 +786,7 @@ impl PlacementState {
                 return Err(e);
             }
         }
-        Ok(DisplaceUndo { moves: undo })
+        Ok(())
     }
 
     /// Ids and positions of all placed cells.
@@ -822,112 +807,126 @@ impl PlacementState {
         }
     }
 
-    /// Records `cell`'s current position in the open transaction's log on
-    /// first touch. Called by every authoritative position mutation
-    /// (`place_impl`, `remove`, `shift_batch`); a closed journal costs one
-    /// branch.
-    fn note_txn(&mut self, cell: CellId) {
-        if !self.txn.active {
+    /// Records `cell`'s current position in the innermost open savepoint
+    /// on first touch at that level. Called by every authoritative
+    /// position mutation (`place_impl`, `remove`, `shift_batch`); with no
+    /// savepoint open it costs one branch.
+    fn note(&mut self, cell: CellId) {
+        let j = &mut self.journal;
+        let Some(&start) = j.marks.last() else {
+            return;
+        };
+        let i = cell.index();
+        if i >= j.stamp.len() {
+            // Cells appended (ECO insert) after the savepoint opened.
+            j.stamp.resize(self.pos.len().max(i + 1), 0);
+        }
+        let before = j.stamp[i];
+        if j.holds(cell, before, start) {
             return;
         }
-        let i = cell.index();
-        if i >= self.txn.touched.len() {
-            // Cells appended (ECO insert) after the transaction opened.
-            self.txn.touched.resize(self.pos.len().max(i + 1), 0);
+        j.stamp[i] = j.log.len() as u32;
+        j.prev.push(before);
+        j.log.push((cell, self.pos[i]));
+    }
+
+    /// Opens a savepoint: from here until it is rolled back or released,
+    /// every position mutation — direct placements, removals, MLL
+    /// realization shifts, escalation displacements — journals the
+    /// affected cell's position from before the savepoint on first touch,
+    /// so the whole span can be undone bit-exactly without the caller
+    /// knowing which cells the legalizer decided to move. Savepoints nest.
+    pub fn savepoint(&mut self) -> Savepoint {
+        let j = &mut self.journal;
+        if j.stamp.len() < self.pos.len() {
+            j.stamp.resize(self.pos.len(), 0);
         }
-        if self.txn.touched[i] != self.txn.epoch {
-            self.txn.touched[i] = self.txn.epoch;
-            self.txn.log.push((cell, self.pos[i]));
+        j.marks.push(j.log.len() as u32);
+        Savepoint {
+            level: j.marks.len() - 1,
         }
     }
 
-    /// Opens a transaction: from here until [`commit_txn`] or
-    /// [`rollback_txn`], every position mutation — direct placements,
-    /// removals, MLL realization shifts, escalation displacements —
-    /// journals the affected cell's prior position on first touch, so the
-    /// whole span can be undone bit-exactly without the caller knowing
-    /// which cells the legalizer decided to move.
-    ///
-    /// Transactions do not nest.
+    /// Number of open savepoints.
+    pub fn open_savepoints(&self) -> usize {
+        self.journal.marks.len()
+    }
+
+    /// The entries made since `sp` opened: each touched cell with its
+    /// position before the savepoint (`None` = it was unplaced), in
+    /// first-touch order. Entries of savepoints nested inside `sp` that
+    /// are still open follow, so with none open each cell appears once.
+    pub fn journal(&self, sp: &Savepoint) -> &[(CellId, Option<SitePoint>)] {
+        &self.journal.log[self.journal.marks[sp.level] as usize..]
+    }
+
+    fn assert_innermost(&self, sp: &Savepoint) {
+        assert_eq!(
+            sp.level + 1,
+            self.journal.marks.len(),
+            "savepoints close innermost first"
+        );
+    }
+
+    /// Closes `sp` keeping every mutation made since it opened. Its
+    /// entries join the enclosing savepoint, if any.
     ///
     /// # Panics
     ///
-    /// If a transaction is already open.
-    ///
-    /// [`commit_txn`]: PlacementState::commit_txn
-    /// [`rollback_txn`]: PlacementState::rollback_txn
-    pub fn begin_txn(&mut self) {
-        assert!(!self.txn.active, "begin_txn: a transaction is already open");
-        self.txn.active = true;
-        self.txn.epoch = self.txn.epoch.wrapping_add(1);
-        if self.txn.epoch == 0 {
-            // Epoch wrap: reset the stamps once so stale marks can't alias.
-            self.txn.touched.iter_mut().for_each(|e| *e = 0);
-            self.txn.epoch = 1;
-        }
-        if self.txn.touched.len() < self.pos.len() {
-            self.txn.touched.resize(self.pos.len(), 0);
-        }
-        self.txn.log.clear();
+    /// If a savepoint opened after `sp` is still open.
+    pub fn release(&mut self, sp: Savepoint) {
+        self.assert_innermost(&sp);
+        self.journal.close();
     }
 
-    /// True while a transaction is open.
-    pub fn txn_active(&self) -> bool {
-        self.txn.active
-    }
-
-    /// The open transaction's first-touch log so far — each touched cell
-    /// with its pre-transaction position, in first-touch order. Empty when
-    /// no transaction is open. A read-only peek for commit/reject
-    /// decisions (e.g. an ECO displacement budget) ahead of
-    /// [`commit_txn`](PlacementState::commit_txn) /
-    /// [`rollback_txn`](PlacementState::rollback_txn).
-    pub fn txn_log(&self) -> &[(CellId, Option<SitePoint>)] {
-        if self.txn.active {
-            &self.txn.log
-        } else {
-            &[]
-        }
-    }
-
-    /// Closes the open transaction keeping every mutation, and returns the
-    /// first-touch log: each touched cell with its position *before* the
-    /// transaction (`None` = it was unplaced), in first-touch order.
-    ///
-    /// # Panics
-    ///
-    /// If no transaction is open.
-    pub fn commit_txn(&mut self) -> Vec<(CellId, Option<SitePoint>)> {
-        assert!(self.txn.active, "commit_txn without begin_txn");
-        self.txn.active = false;
-        std::mem::take(&mut self.txn.log)
-    }
-
-    /// Closes the open transaction and restores every touched cell to its
-    /// pre-transaction position in one transactional batch, returning the
-    /// log that was undone. The restoration is exact: positions, segment
-    /// cell lists, interleaved extent keys, and free gaps all match the
-    /// state at `begin_txn` (the index is rebuilt logically, which is all
-    /// any query observes).
+    /// Closes `sp` restoring every cell it journaled to its position from
+    /// before the savepoint: all of them are lifted first, then the
+    /// priors are placed, in entry order, without a rail-parity check
+    /// (they are positions the state already held, which relaxed-mode
+    /// states hold off parity). The restoration is exact —
+    /// positions, segment cell lists, interleaved extent keys and free gaps
+    /// all match the state at [`savepoint`](PlacementState::savepoint) (the
+    /// index is rebuilt logically, which is all any query observes). Its
+    /// entries still join the enclosing savepoint, which then reads like a
+    /// flat first-touch log.
     ///
     /// # Errors
     ///
-    /// Propagates database errors only if the log no longer applies —
-    /// impossible unless the design itself was mutated incompatibly (e.g.
-    /// a touched cell was widened) between `begin_txn` and here.
+    /// Propagates database errors only if the journal no longer applies —
+    /// impossible unless the design itself was mutated incompatibly (e.g. a
+    /// journaled cell was widened) since the savepoint opened.
     ///
     /// # Panics
     ///
-    /// If no transaction is open.
-    pub fn rollback_txn(
-        &mut self,
-        design: &Design,
-    ) -> Result<Vec<(CellId, Option<SitePoint>)>, DbError> {
-        assert!(self.txn.active, "rollback_txn without begin_txn");
-        self.txn.active = false;
-        let log = std::mem::take(&mut self.txn.log);
-        self.displace_batch(design, &log)?;
-        Ok(log)
+    /// If a savepoint opened after `sp` is still open.
+    pub fn rollback_to(&mut self, design: &Design, sp: Savepoint) -> Result<(), DbError> {
+        self.assert_innermost(&sp);
+        // The restoring mutations touch only cells this level already
+        // holds, so they journal nothing.
+        let (start, end) = (
+            self.journal.marks[sp.level] as usize,
+            self.journal.log.len(),
+        );
+        let mut result = Ok(());
+        for i in start..end {
+            let cell = self.journal.log[i].0;
+            if self.is_placed(cell) {
+                result = self.remove(design, cell).map(|_| ());
+                if result.is_err() {
+                    break;
+                }
+            }
+        }
+        for i in start..end {
+            if result.is_err() {
+                break;
+            }
+            if let (cell, Some(at)) = self.journal.log[i] {
+                result = self.place_ignoring_rails(design, cell, at);
+            }
+        }
+        self.journal.close();
+        result
     }
 
     /// A copy of the full authoritative position record, one entry per
@@ -1021,30 +1020,6 @@ impl PlacementState {
     }
 }
 
-/// The reversal record of one [`PlacementState::displace_batch`] call.
-///
-/// Feeding [`DisplaceUndo::moves`] back into `displace_batch` restores the
-/// prior configuration exactly (same positions; the occupancy index is
-/// rebuilt logically, which is all any query observes).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DisplaceUndo {
-    /// Each displaced cell with its position *before* the batch
-    /// (`None` = it was unplaced).
-    pub moves: Vec<(CellId, Option<SitePoint>)>,
-}
-
-impl DisplaceUndo {
-    /// Rolls the batch back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates database errors if the placement was modified since the
-    /// batch committed (callers must undo in reverse commit order).
-    pub fn rollback(&self, design: &Design, state: &mut PlacementState) -> Result<(), DbError> {
-        state.displace_batch(design, &self.moves).map(|_| ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1082,30 +1057,29 @@ mod tests {
     }
 
     #[test]
-    fn displace_batch_moves_across_rows_and_undoes() {
+    fn displace_batch_moves_across_rows_and_back() {
         let (d, a, b, c, _) = fixture();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(0, 0)).unwrap();
         s.place(&d, b, SitePoint::new(5, 0)).unwrap();
         s.place(&d, c, SitePoint::new(10, 0)).unwrap();
+        let before = s.snapshot();
         // Swap a to row 3, remove b, leave c listed but in place.
-        let undo = s
-            .displace_batch(
-                &d,
-                &[
-                    (a, Some(SitePoint::new(0, 3))),
-                    (b, None),
-                    (c, Some(SitePoint::new(10, 0))),
-                ],
-            )
-            .unwrap();
+        s.displace_batch(
+            &d,
+            &[
+                (a, Some(SitePoint::new(0, 3))),
+                (b, None),
+                (c, Some(SitePoint::new(10, 0))),
+            ],
+        )
+        .unwrap();
         assert_eq!(s.position(a), Some(SitePoint::new(0, 3)));
         assert!(!s.is_placed(b));
         assert_eq!(s.position(c), Some(SitePoint::new(10, 0)));
-        undo.rollback(&d, &mut s).unwrap();
-        assert_eq!(s.position(a), Some(SitePoint::new(0, 0)));
-        assert_eq!(s.position(b), Some(SitePoint::new(5, 0)));
-        assert_eq!(s.position(c), Some(SitePoint::new(10, 0)));
+        let back: Vec<_> = [a, b, c].iter().map(|&x| (x, before[x.index()])).collect();
+        s.displace_batch(&d, &back).unwrap();
+        assert_eq!(s.snapshot(), before);
         // Segment lists reflect the restored configuration.
         let seg0 = s.segment_at(&d, 0, 0).unwrap();
         assert_eq!(s.segment_cells(seg0), &[a, b, c]);
@@ -1350,10 +1324,10 @@ mod tests {
         s.place(&d, b, SitePoint::new(5, 0)).unwrap(); // [5,7)
         s.place(&d, c, SitePoint::new(10, 0)).unwrap(); // [10,14)
         let seg = s.segment_at(&d, 0, 0).unwrap();
-        assert_eq!(s.cells_intersecting(&d, seg, 3, 5), &[]);
-        assert_eq!(s.cells_intersecting(&d, seg, 2, 6), &[a, b]);
-        assert_eq!(s.cells_intersecting(&d, seg, 0, 20), &[a, b, c]);
-        assert_eq!(s.cells_intersecting(&d, seg, 13, 14), &[c]);
+        assert_eq!(s.cells_intersecting(seg, 3, 5), &[]);
+        assert_eq!(s.cells_intersecting(seg, 2, 6), &[a, b]);
+        assert_eq!(s.cells_intersecting(seg, 0, 20), &[a, b, c]);
+        assert_eq!(s.cells_intersecting(seg, 13, 14), &[c]);
     }
 
     #[test]
@@ -1363,9 +1337,9 @@ mod tests {
         s.place(&d, a, SitePoint::new(0, 0)).unwrap(); // [0,3)
         s.place(&d, c, SitePoint::new(6, 0)).unwrap(); // [6,10)
         let seg = s.segment_at(&d, 0, 0).unwrap();
-        assert_eq!(s.left_neighbor(&d, seg, 3), Some(a));
-        assert_eq!(s.left_neighbor(&d, seg, 2), None);
-        assert_eq!(s.left_neighbor(&d, seg, 15), Some(c));
+        assert_eq!(s.left_neighbor(seg, 3), Some(a));
+        assert_eq!(s.left_neighbor(seg, 2), None);
+        assert_eq!(s.left_neighbor(seg, 15), Some(c));
     }
 
     #[test]
@@ -1452,41 +1426,6 @@ mod tests {
         assert!(placed.contains(&(a, SitePoint::new(0, 0))));
     }
 
-    /// Every query agrees between the interleaved and the legacy probe
-    /// layouts across a mixed mutation sequence.
-    #[test]
-    fn legacy_layout_is_bit_identical() {
-        let (d, a, b, c, dd) = fixture();
-        let mut fast = PlacementState::new(&d);
-        let mut slow = PlacementState::with_layout(&d, IndexLayout::Legacy);
-        assert_eq!(fast.layout(), IndexLayout::Interleaved);
-        assert_eq!(slow.layout(), IndexLayout::Legacy);
-        for s in [&mut fast, &mut slow] {
-            s.place(&d, a, SitePoint::new(2, 0)).unwrap();
-            s.place(&d, b, SitePoint::new(8, 0)).unwrap();
-            s.place(&d, c, SitePoint::new(13, 2)).unwrap();
-            s.place(&d, dd, SitePoint::new(0, 1)).unwrap();
-            s.shift_batch(&d, &[(a, 3)]).unwrap();
-            s.remove(&d, b).unwrap();
-        }
-        for si in 0..d.floorplan().segments().len() {
-            let seg = SegId::from_usize(si);
-            assert_eq!(fast.segment_cells(seg), slow.segment_cells(seg));
-            assert_eq!(fast.segment_extents(seg), slow.segment_extents(seg));
-            assert_eq!(fast.free_gaps(seg), slow.free_gaps(seg));
-            assert_eq!(
-                fast.cells_intersecting(&d, seg, 1, 12),
-                slow.cells_intersecting(&d, seg, 1, 12)
-            );
-            assert_eq!(
-                fast.left_neighbor(&d, seg, 9),
-                slow.left_neighbor(&d, seg, 9)
-            );
-        }
-        // Clones inherit the probe layout.
-        assert_eq!(slow.clone().layout(), IndexLayout::Legacy);
-    }
-
     #[test]
     fn index_bytes_counts_the_arenas() {
         let (d, a, b, ..) = fixture();
@@ -1539,7 +1478,7 @@ mod tests {
     }
 
     #[test]
-    fn txn_rollback_restores_bit_exactly_across_all_mutation_kinds() {
+    fn rollback_restores_bit_exactly_across_all_mutation_kinds() {
         let (d, a, b, c, dd) = fixture();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(2, 0)).unwrap();
@@ -1547,60 +1486,107 @@ mod tests {
         s.place(&d, dd, SitePoint::new(0, 1)).unwrap();
         let before = s.clone();
 
-        s.begin_txn();
-        assert!(s.txn_active());
+        let sp = s.savepoint();
+        assert_eq!(s.open_savepoints(), 1);
         s.remove(&d, a).unwrap(); // remove
         s.place(&d, c, SitePoint::new(12, 0)).unwrap(); // place
         s.shift_batch(&d, &[(b, 6)]).unwrap(); // shift
         s.displace_batch(&d, &[(dd, Some(SitePoint::new(14, 1)))])
             .unwrap(); // row move via remove+place
-        let log = s.rollback_txn(&d).unwrap();
-        assert!(!s.txn_active());
-        // First-touch: each cell appears exactly once despite multiple moves.
-        let mut ids: Vec<CellId> = log.iter().map(|&(c, _)| c).collect();
+                       // First-touch: each cell appears exactly once despite multiple moves.
+        let mut ids: Vec<CellId> = s.journal(&sp).iter().map(|&(c, _)| c).collect();
+        let n = ids.len();
         ids.sort();
         ids.dedup();
-        assert_eq!(ids.len(), log.len(), "log has duplicate entries: {log:?}");
+        assert_eq!(ids.len(), n, "journal has duplicate entries");
+        s.rollback_to(&d, sp).unwrap();
+        assert_eq!(s.open_savepoints(), 0);
         assert_states_identical(&d, &before, &s);
         s.verify_index(&d).unwrap();
     }
 
     #[test]
-    fn txn_commit_returns_first_touch_log_and_keeps_mutations() {
+    fn release_keeps_mutations_and_journal_records_first_touch() {
         let (d, a, b, ..) = fixture();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(2, 0)).unwrap();
-        s.begin_txn();
+        let sp = s.savepoint();
         s.shift_batch(&d, &[(a, 3)]).unwrap();
         s.shift_batch(&d, &[(a, 5)]).unwrap();
         s.place(&d, b, SitePoint::new(10, 0)).unwrap();
-        let log = s.commit_txn();
         assert_eq!(
-            log,
-            vec![(a, Some(SitePoint::new(2, 0))), (b, None)],
-            "log records pre-transaction positions in first-touch order"
+            s.journal(&sp),
+            &[(a, Some(SitePoint::new(2, 0))), (b, None)],
+            "entries hold pre-savepoint positions in first-touch order"
         );
+        s.release(sp);
         assert_eq!(s.position(a), Some(SitePoint::new(5, 0)));
         assert_eq!(s.position(b), Some(SitePoint::new(10, 0)));
-        // A fresh transaction starts from a clean log.
-        s.begin_txn();
-        assert!(s.commit_txn().is_empty());
+        // A fresh savepoint starts from a clean journal.
+        let sp = s.savepoint();
+        assert!(s.journal(&sp).is_empty());
+        s.release(sp);
     }
 
     #[test]
-    fn txn_journal_survives_failed_mutations() {
+    fn journal_survives_failed_mutations() {
         let (d, a, b, ..) = fixture();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(2, 0)).unwrap();
         s.place(&d, b, SitePoint::new(8, 0)).unwrap();
         let before = s.clone();
-        s.begin_txn();
+        let sp = s.savepoint();
         s.shift_batch(&d, &[(a, 4)]).unwrap();
         // Overlapping shift fails and internally restores pos[]; the journal
         // must still hold a's original x from the first successful shift.
         assert!(s.shift_batch(&d, &[(a, 8)]).is_err());
-        s.rollback_txn(&d).unwrap();
+        s.rollback_to(&d, sp).unwrap();
         assert_states_identical(&d, &before, &s);
+    }
+
+    /// An inner rollback restores the inner savepoint's state, and the
+    /// outer journal still reads like one flat first-touch log — the
+    /// length ECO reports as `touched` and `journal_depth`.
+    #[test]
+    fn inner_rollback_keeps_the_outer_log_flat() {
+        let (d, a, b, c, dd) = fixture();
+        let mut s = PlacementState::new(&d);
+        s.place(&d, a, SitePoint::new(2, 0)).unwrap();
+        s.place(&d, b, SitePoint::new(8, 0)).unwrap();
+        s.place(&d, dd, SitePoint::new(0, 1)).unwrap();
+        let outer = s.savepoint();
+        s.shift_batch(&d, &[(a, 3)]).unwrap();
+        let mid = s.clone();
+        let inner = s.savepoint();
+        s.shift_batch(&d, &[(a, 4), (b, 9)]).unwrap();
+        s.place(&d, c, SitePoint::new(14, 0)).unwrap();
+        assert_eq!(s.journal(&inner).len(), 3);
+        s.rollback_to(&d, inner).unwrap();
+        assert_states_identical(&d, &mid, &s);
+        // A flat journal would hold a (from the outer shift), then b and c
+        // (first touched inside the rolled-back chain), with their
+        // positions from before the outer savepoint.
+        assert_eq!(
+            s.journal(&outer),
+            &[
+                (a, Some(SitePoint::new(2, 0))),
+                (b, Some(SitePoint::new(8, 0))),
+                (c, None),
+            ]
+        );
+        s.rollback_to(&d, outer).unwrap();
+        assert_eq!(s.position(a), Some(SitePoint::new(2, 0)));
+        s.verify_index(&d).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "innermost first")]
+    fn outer_savepoint_cannot_close_first() {
+        let (d, ..) = fixture();
+        let mut s = PlacementState::new(&d);
+        let outer = s.savepoint();
+        let _inner = s.savepoint();
+        s.release(outer);
     }
 
     #[test]

@@ -6,11 +6,9 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mrl_db::{CellId, DbError, Design, PlacementState};
+use mrl_db::{CellId, DbError, Design, PlacementState, Savepoint};
 use mrl_geom::{PowerRail, SiteRect};
-use mrl_legalize::{
-    LegalizeStats, Legalizer, LegalizerConfig, NoopSink, ScratchArena, Sink, TraceBuf,
-};
+use mrl_legalize::{LegalizeCtx, Legalizer, LegalizerConfig, ScratchArena, Sink, TraceBuf};
 
 use crate::telemetry::{RejectReason, ServeTelemetry};
 
@@ -212,15 +210,16 @@ pub struct BatchStats {
 /// [`PlacementState`] (plus its design) in memory and applies
 /// [`EditBatch`]es by unplacing only the affected cells and re-legalizing
 /// them through the standard MLL → retry → escalation ladder
-/// ([`Legalizer::legalize_subset_in`]), reusing the CSR occupancy index
+/// ([`Legalizer::legalize_subset`]), reusing the CSR occupancy index
 /// and one [`ScratchArena`] across batches with no full rebuild.
 ///
-/// Each batch is transactional: the placement-level first-touch journal
-/// ([`PlacementState::begin_txn`]) captures every cell the legalizer
-/// decides to move, so a rejected batch — infeasible edit, failed
-/// re-legalization, blown displacement budget — rolls back bit-exactly,
-/// including design-level mutations (input positions, widths, appended
-/// cells).
+/// Each batch is transactional: it runs inside the outermost savepoint
+/// of the placement's first-touch journal ([`PlacementState::savepoint`]),
+/// which captures every cell the legalizer decides to move — escalation
+/// chains nest their own savepoints inside it — so a rejected batch —
+/// infeasible edit, failed re-legalization, blown displacement budget —
+/// rolls back bit-exactly, including design-level mutations (input
+/// positions, widths, appended cells).
 pub struct EcoSession {
     design: Design,
     state: PlacementState,
@@ -334,14 +333,19 @@ impl EcoSession {
         batch: &EditBatch,
         budget: Option<i64>,
     ) -> Result<BatchStats, EcoError> {
-        let result = if self.cfg.trace {
-            let mut sink = self.trace.lane(batch.id as u32);
-            let result = self.apply_inner(batch, budget, &mut sink);
-            self.trace.absorb(sink);
-            result
+        let arena = std::mem::take(&mut self.arena);
+        let (result, arena) = if self.cfg.trace {
+            let mut ctx = LegalizeCtx::with_sink(self.trace.lane(batch.id as u32));
+            ctx.arena = arena;
+            let result = self.apply_inner(batch, budget, &mut ctx);
+            self.trace.absorb(ctx.sink);
+            (result, ctx.arena)
         } else {
-            self.apply_inner(batch, budget, &mut NoopSink)
+            let mut ctx = LegalizeCtx::new();
+            ctx.arena = arena;
+            (self.apply_inner(batch, budget, &mut ctx), ctx.arena)
         };
+        self.arena = arena;
         if let Err(e) = &result {
             self.telemetry.batches_error.inc();
             match e {
@@ -408,7 +412,7 @@ impl EcoSession {
         &mut self,
         batch: &EditBatch,
         budget: Option<i64>,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
     ) -> Result<BatchStats, EcoError> {
         let wall = Instant::now();
         for edit in &batch.edits {
@@ -423,10 +427,10 @@ impl EcoSession {
         self.telemetry.phase_validate.observe(elapsed_us(wall));
         validated?;
 
-        // Phase 1: open the transaction and apply the structural edits,
+        // Phase 1: open the batch savepoint and apply the structural edits,
         // unplacing only the cells the batch names. Design-level undo is
         // tracked here; placement-level undo lives in the journal.
-        self.state.begin_txn();
+        let sp = self.state.savepoint();
         let base_cells = self.design.num_cells();
         let mut prev_inputs: Vec<(CellId, (f64, f64))> = Vec::new();
         let mut prev_widths: Vec<(CellId, i32)> = Vec::new();
@@ -518,7 +522,6 @@ impl EcoSession {
 
         // Phase 2: re-legalize the disturbed cells (deleted ones excluded)
         // through the standard ladder, reusing the session arena.
-        let mut lstats = LegalizeStats::default();
         if reject.is_none() {
             let targets: Vec<CellId> = relegalize
                 .iter()
@@ -526,25 +529,21 @@ impl EcoSession {
                 .filter(|c| !pending_deletes.contains(c))
                 .collect();
             let legalize_t = Instant::now();
-            let (s, result) = self.legalizer.legalize_subset_in(
-                &self.design,
-                &mut self.state,
-                &targets,
-                &mut self.arena,
-                sink,
-            );
+            let result =
+                self.legalizer
+                    .legalize_subset(&self.design, &mut self.state, &targets, ctx);
             self.telemetry
                 .phase_legalize
                 .observe(elapsed_us(legalize_t));
-            lstats = s;
             if let Err(e) = result {
                 reject = Some((RejectReason::Legalize, format!("legalization failed: {e}")));
             }
         }
+        let lstats = ctx.stats;
 
         // Phase 3: displacement accounting and the budget gate.
         let mut induced = 0i64;
-        for &(cell, orig) in self.state.txn_log() {
+        for &(cell, orig) in self.state.journal(&sp) {
             if edited.contains(&cell) {
                 continue;
             }
@@ -565,11 +564,11 @@ impl EcoSession {
 
         // Phase 4: commit, or roll back bit-exactly.
         let relegalized = relegalize.len();
-        // Journal depth before commit/rollback consumes the log: the
+        // Journal depth before commit/rollback closes the savepoint: the
         // batch's true disturbance footprint, whichever way it resolves.
-        let journal_depth = self.state.txn_log().len();
+        let journal_depth = self.state.journal(&sp).len();
         let stats = if let Some((why, reason)) = reject {
-            self.rollback(base_cells, &prev_inputs, &prev_widths)?;
+            self.rollback(sp, base_cells, &prev_inputs, &prev_widths)?;
             self.batches_rejected += 1;
             self.telemetry.batches_rejected.inc();
             self.telemetry.record_reject(why);
@@ -589,7 +588,12 @@ impl EcoSession {
                 wall: wall.elapsed(),
             }
         } else {
-            let log = self.state.commit_txn();
+            let log = self.state.journal(&sp);
+            let moved = log
+                .iter()
+                .filter(|&&(cell, orig)| self.state.position(cell) != orig)
+                .count();
+            self.state.release(sp);
             self.deleted.resize(self.design.num_cells(), false);
             for &cell in &pending_deletes {
                 self.deleted[cell.index()] = true;
@@ -597,10 +601,6 @@ impl EcoSession {
             // Validation guarantees each pending delete is unique and not
             // already tombstoned, so the O(1) count stays exact.
             self.deleted_count += pending_deletes.len();
-            let moved = log
-                .iter()
-                .filter(|&&(cell, orig)| self.state.position(cell) != orig)
-                .count();
             self.batches_applied += 1;
             self.telemetry.batches_applied.inc();
             self.telemetry
@@ -611,7 +611,7 @@ impl EcoSession {
                 applied: true,
                 edits: batch.edits.len(),
                 relegalized,
-                touched: log.len(),
+                touched: journal_depth,
                 moved,
                 induced_disp: induced,
                 window: window.with_halo_clipped(&self.design, self.cfg.halo),
@@ -651,6 +651,7 @@ impl EcoSession {
     /// widths), then the design-level mutations.
     fn rollback(
         &mut self,
+        sp: Savepoint,
         base_cells: usize,
         prev_inputs: &[(CellId, (f64, f64))],
         prev_widths: &[(CellId, i32)],
@@ -664,7 +665,7 @@ impl EcoSession {
             }
             self.design.set_cell_width(cell, old_width)?;
         }
-        self.state.rollback_txn(&self.design)?;
+        self.state.rollback_to(&self.design, sp)?;
         // Appended cells are unplaced after the journal rollback; retract
         // them from both tables.
         self.design.truncate_cells(base_cells)?;

@@ -162,7 +162,7 @@ fn delete_then_reinsert_within_one_batch_is_rejected_as_invalid() {
         .unwrap_err();
     assert!(matches!(err, EcoError::InvalidEdit { .. }));
     // Validation is pre-flight: nothing mutated, journal closed.
-    assert!(!session.state().txn_active());
+    assert_eq!(session.state().open_savepoints(), 0);
     assert!(!session.is_deleted(cell));
 }
 
@@ -179,7 +179,7 @@ fn invalid_cell_reference_leaves_state_untouched() {
         .unwrap_err();
     assert!(matches!(err, EcoError::InvalidEdit { .. }));
     assert_eq!(session.state().snapshot(), before);
-    assert!(!session.state().txn_active());
+    assert_eq!(session.state().open_savepoints(), 0);
 }
 
 #[test]

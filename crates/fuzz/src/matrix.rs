@@ -25,7 +25,8 @@ use crate::scenario::Scenario;
 use mrl_baselines::{AbacusLegalizer, TetrisLegalizer};
 use mrl_db::{Design, PlacementState};
 use mrl_legalize::{
-    CellOrder, EscalationConfig, LegalizeStats, Legalizer, LegalizerConfig, NoopSink, PowerRailMode,
+    CellOrder, EscalationConfig, LegalizeCtx, LegalizeStats, Legalizer, LegalizerConfig,
+    PowerRailMode,
 };
 use mrl_metrics::{check_legal, RailCheck};
 use std::fmt;
@@ -507,8 +508,11 @@ pub fn run_stats(scenario: &Scenario, opts: &MatrixOptions) -> Result<LegalizeSt
 pub fn run_diagnostics(scenario: &Scenario, opts: &MatrixOptions) -> Option<(String, String)> {
     let design = scenario.build().ok()?;
     let mut state = PlacementState::new(&design);
-    let (stats, _) =
-        Legalizer::new(base_config(opts)).legalize_traced(&design, &mut state, &mut NoopSink);
+    let mut ctx = LegalizeCtx::new();
+    // The run is expected to fail on a shrunk reproducer; its statistics
+    // survive in the context either way.
+    let _ = Legalizer::new(base_config(opts)).legalize_with(&design, &mut state, &mut ctx);
+    let stats = ctx.stats;
     let f = stats.fail_counts;
     let fail_reasons = format!(
         "no_insertion_point={} retry_budget_exhausted={} region_extraction_empty={} \

@@ -10,12 +10,10 @@
 //! scale are checked here directly:
 //!
 //! * **legality** — both drivers' outputs pass the independent checker;
+//! * **index consistency** — after both drivers, the occupancy index (gap
+//!   lists and interleaved extent keys) equals a linear rebuild from the
+//!   authoritative positions (`PlacementState::verify_index`);
 //! * **prune invariance** — branch-and-bound equals exhaustive search;
-//! * **index invariance** — the subrow spatial index equals the
-//!   linear-scan oracle path bit-for-bit, sequential and parallel;
-//! * **layout invariance** — the cache-resident interleaved occupancy
-//!   index (`IndexLayout::Interleaved`) equals the legacy `pos[]`-probing
-//!   layout bit-for-bit, sequential and parallel;
 //! * **thread invariance** — the stripe scheduler is bit-identical across
 //!   1, 2, and 4 worker threads.
 //!
@@ -26,7 +24,7 @@
 //! cargo test --release -p mrl-fuzz --test scale -- --ignored
 //! ```
 
-use mrl_db::{CellId, IndexLayout, PlacementState};
+use mrl_db::{CellId, PlacementState};
 use mrl_geom::SitePoint;
 use mrl_legalize::{Legalizer, LegalizerConfig};
 use mrl_metrics::{check_legal, RailCheck};
@@ -46,30 +44,31 @@ fn invariants_hold_at_64k() {
     let design = generate(&spec, &GeneratorConfig::default().with_seed(7)).expect("generate");
     let cfg = LegalizerConfig::paper().with_seed(7);
 
-    let run_seq_layout = |cfg: &LegalizerConfig, layout: IndexLayout| {
-        let mut state = PlacementState::with_layout(&design, layout);
+    let run_seq = |cfg: &LegalizerConfig| {
+        let mut state = PlacementState::new(&design);
         Legalizer::new(cfg.clone())
             .legalize(&design, &mut state)
             .expect("sequential legalization");
         state
     };
-    let run_par_layout = |cfg: &LegalizerConfig, threads: usize, layout: IndexLayout| {
-        let mut state = PlacementState::with_layout(&design, layout);
+    let run_par = |cfg: &LegalizerConfig, threads: usize| {
+        let mut state = PlacementState::new(&design);
         Legalizer::new(cfg.clone())
             .legalize_parallel(&design, &mut state, threads)
             .expect("parallel legalization");
         state
     };
-    let run_seq = |cfg: &LegalizerConfig| run_seq_layout(cfg, IndexLayout::Interleaved);
-    let run_par = |cfg: &LegalizerConfig, threads: usize| {
-        run_par_layout(cfg, threads, IndexLayout::Interleaved)
-    };
 
-    // Legality, via the checker that shares no code with the legalizer.
+    // Legality, via the checker that shares no code with the legalizer,
+    // and the incremental index against its linear rebuild.
     let seq = run_seq(&cfg);
     check_legal(&design, &seq, RailCheck::Enforce).expect("sequential output is legal");
+    seq.verify_index(&design)
+        .expect("sequential index matches its rebuild");
     let par = run_par(&cfg, 1);
     check_legal(&design, &par, RailCheck::Enforce).expect("parallel output is legal");
+    par.verify_index(&design)
+        .expect("parallel index matches its rebuild");
 
     // Prune invariance: branch-and-bound changes nothing but the work.
     let exhaustive = run_seq(&cfg.clone().with_prune(false));
@@ -77,39 +76,6 @@ fn invariants_hold_at_64k() {
         positions(&seq),
         positions(&exhaustive),
         "pruned and exhaustive sequential searches disagree"
-    );
-
-    // Index invariance: the spatial index equals the linear-scan oracle
-    // bit-for-bit, on both drivers.
-    let no_index = cfg.clone().with_spatial_index(false);
-    assert_eq!(
-        positions(&seq),
-        positions(&run_seq(&no_index)),
-        "sequential: spatial index changed the placement"
-    );
-    assert_eq!(
-        positions(&par),
-        positions(&run_par(&no_index, 1)),
-        "parallel: spatial index changed the placement"
-    );
-
-    // Layout invariance: the interleaved occupancy index and the legacy
-    // pos[]-probing layout settle the identical placement, with and
-    // without the spatial index, on both drivers.
-    assert_eq!(
-        positions(&seq),
-        positions(&run_seq_layout(&cfg, IndexLayout::Legacy)),
-        "sequential: interleaved layout changed the placement"
-    );
-    assert_eq!(
-        positions(&par),
-        positions(&run_par_layout(&cfg, 1, IndexLayout::Legacy)),
-        "parallel: interleaved layout changed the placement"
-    );
-    assert_eq!(
-        positions(&seq),
-        positions(&run_seq_layout(&no_index, IndexLayout::Legacy)),
-        "sequential: legacy layout without spatial index changed the placement"
     );
 
     // Thread invariance: the work-stealing scheduler is deterministic in

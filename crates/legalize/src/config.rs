@@ -205,12 +205,6 @@ pub struct LegalizerConfig {
     /// insertion point (ties broken by the scanline emission order), so
     /// this knob only trades evaluation work for a bound computation.
     pub prune: bool,
-    /// Windowed occupancy-index queries during region extraction (on by
-    /// default). When disabled, extraction scans each segment's full gap
-    /// list — the original O(segment) path, kept as the oracle the index
-    /// is validated against and for before/after measurement. Both paths
-    /// extract bit-identical regions, so this knob never changes results.
-    pub spatial_index: bool,
     /// Escalation ladder engaged when the retry loop keeps failing a cell
     /// (enabled by default; [`EscalationConfig::disabled`] restores the
     /// pre-escalation retry loop bit-for-bit).
@@ -229,7 +223,6 @@ impl Default for LegalizerConfig {
             max_retry_iters: 4096,
             max_insertion_points: usize::MAX,
             prune: true,
-            spatial_index: true,
             escalation: EscalationConfig::default(),
         }
     }
@@ -278,13 +271,6 @@ impl LegalizerConfig {
         self
     }
 
-    /// Returns `self` with the extraction spatial index switched on or
-    /// off (off = linear gap-list scan, the measurement oracle).
-    pub fn with_spatial_index(mut self, spatial_index: bool) -> Self {
-        self.spatial_index = spatial_index;
-        self
-    }
-
     /// Returns `self` with the retry-iteration cap replaced. Differential
     /// harnesses lower it so a genuinely stuck case fails fast instead of
     /// burning the full default budget.
@@ -304,14 +290,13 @@ impl fmt::Display for LegalizerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Rx={} Ry={} rails={:?} eval={:?} order={:?} prune={} index={} escalation=[{}]",
+            "Rx={} Ry={} rails={:?} eval={:?} order={:?} prune={} escalation=[{}]",
             self.rx,
             self.ry,
             self.rail_mode,
             self.eval_mode,
             self.order,
             self.prune,
-            self.spatial_index,
             self.escalation
         )
     }

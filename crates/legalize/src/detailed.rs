@@ -5,15 +5,16 @@
 //!
 //! Each pass visits every movable cell, computes its wirelength-optimal
 //! position (the median of its nets' other-pin bounding boxes), rips the
-//! cell up, and re-inserts it near the optimum via one [`mll_transacted`]
-//! call. The move is kept only when the half-perimeter wirelength of the
-//! affected nets improves; otherwise the transaction rolls back and the
-//! cell returns to its previous spot — try-and-revert at zero risk, which
-//! is exactly what local legalization buys.
+//! cell up, and re-inserts it near the optimum via one [`mll()`] call,
+//! all inside one [`PlacementState::savepoint`]. The move is kept only
+//! when the half-perimeter wirelength of the affected nets improves;
+//! otherwise the savepoint rolls back and the cell returns to its previous
+//! spot — try-and-revert at zero risk, which is exactly what local
+//! legalization buys.
 
 use crate::config::LegalizerConfig;
-use crate::legalizer::Legalizer;
-use crate::mll::mll_transacted;
+use crate::legalizer::{LegalizeCtx, Legalizer};
+use crate::mll::mll;
 use mrl_db::{CellId, DbError, Design, NetId, PinLocation, PlacementState};
 use std::collections::HashMap;
 
@@ -107,7 +108,9 @@ impl DetailedPlacer {
         design: &Design,
         state: &mut PlacementState,
     ) -> Result<DetailedStats, DbError> {
-        let legalizer = Legalizer::new(self.cfg.legalizer.clone());
+        let cfg = &self.cfg.legalizer;
+        let legalizer = Legalizer::new(cfg.clone());
+        let mut ctx = LegalizeCtx::new();
         let mut stats = DetailedStats {
             hpwl_before_um: design.hpwl_um(|c| state.position_or_input(design, c)),
             ..DetailedStats::default()
@@ -127,25 +130,25 @@ impl DetailedPlacer {
                 }
                 stats.tried += 1;
                 // Rip up and try to re-insert near the optimum.
-                let old = state.remove(design, cell)?;
+                let sp = state.savepoint();
+                state.remove(design, cell)?;
                 let snapped = legalizer.snap(design, cell, ox, oy);
-                let Some(tx) = mll_transacted(design, state, &self.cfg.legalizer, cell, snapped)?
-                else {
+                let inserted = mll(design, state, cfg, cell, snapped, &mut ctx, 0)?;
+                if inserted.is_err() {
                     // No room near the optimum: put the cell back.
-                    restore(design, state, cell, old, &self.cfg.legalizer)?;
+                    state.rollback_to(design, sp)?;
                     continue;
-                };
-                // HPWL of affected nets, before (override resolver) vs now.
-                let mut overrides: HashMap<CellId, (f64, f64)> = tx
-                    .undo_moves
+                }
+                // HPWL of affected nets, before (journaled positions) vs now.
+                let moved = state.journal(&sp);
+                let overrides: HashMap<CellId, (f64, f64)> = moved
                     .iter()
-                    .map(|&(c, old_x)| {
-                        let p = state.position(c).expect("shifted cell placed");
-                        (c, (f64::from(old_x), f64::from(p.y)))
+                    .map(|&(c, was)| {
+                        let p = was.expect("moved cells were placed");
+                        (c, (f64::from(p.x), f64::from(p.y)))
                     })
                     .collect();
-                overrides.insert(cell, (f64::from(old.x), f64::from(old.y)));
-                let nets = affected_nets(design, tx.touched_cells());
+                let nets = affected_nets(design, moved.iter().map(|&(c, _)| c));
                 let before = nets_hpwl_um(design, &nets, |c| {
                     overrides
                         .get(&c)
@@ -155,28 +158,14 @@ impl DetailedPlacer {
                 let after = nets_hpwl_um(design, &nets, |c| state.position_or_input(design, c));
                 if after < before {
                     stats.accepted += 1;
+                    state.release(sp);
                 } else {
-                    tx.rollback(design, state)?;
-                    restore(design, state, cell, old, &self.cfg.legalizer)?;
+                    state.rollback_to(design, sp)?;
                 }
             }
         }
         stats.hpwl_after_um = design.hpwl_um(|c| state.position_or_input(design, c));
         Ok(stats)
-    }
-}
-
-fn restore(
-    design: &Design,
-    state: &mut PlacementState,
-    cell: CellId,
-    at: mrl_geom::SitePoint,
-    cfg: &LegalizerConfig,
-) -> Result<(), DbError> {
-    if cfg.rail_mode.is_aligned() {
-        state.place(design, cell, at)
-    } else {
-        state.place_ignoring_rails(design, cell, at)
     }
 }
 

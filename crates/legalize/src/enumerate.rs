@@ -47,12 +47,12 @@
 use crate::config::{EvalMode, LegalizerConfig, PowerRailMode};
 use crate::evaluate::{evaluate_exact_in, evaluate_in, vertical_cost, Evaluation, TargetSpec};
 use crate::interval::InsInterval;
+use crate::legalizer::LegalizeCtx;
 use crate::region::LocalRegion;
 use crate::scratch::{Candidate, EvalScratch, ScanEvent, ScratchArena};
-use crate::timing::{Phase, PhaseTimes};
 use mrl_db::Design;
 use mrl_geom::Interval;
-use mrl_trace::{NoopSink, Sink};
+use mrl_trace::{Phase, PhaseTimes, Sink};
 use std::collections::BinaryHeap;
 
 /// A scored valid insertion point.
@@ -124,58 +124,19 @@ pub fn enumerate_insertion_points(
 }
 
 /// Returns the minimum-cost valid insertion point, if any exists.
-pub fn find_best_insertion_point(
+///
+/// Runs on `ctx`'s arena, allocation-free once it is warm. The whole scan
+/// is timed as [`Phase::Enumerate`] and each scored candidate within it as
+/// [`Phase::Evaluate`], in both the ledger and the sink.
+pub fn find_best_insertion_point<S: Sink>(
     region: &LocalRegion,
     design: &Design,
     target: &TargetSpec,
     cfg: &LegalizerConfig,
+    ctx: &mut LegalizeCtx<S>,
 ) -> Option<InsertionPoint> {
-    let mut timer = PhaseTimes::default();
-    find_best_insertion_point_timed(region, design, target, cfg, &mut timer)
-}
-
-/// [`find_best_insertion_point`] with per-phase accounting: the whole scan
-/// is attributed to [`Phase::Enumerate`], candidate scoring within it to
-/// [`Phase::Evaluate`].
-pub fn find_best_insertion_point_timed(
-    region: &LocalRegion,
-    design: &Design,
-    target: &TargetSpec,
-    cfg: &LegalizerConfig,
-    timer: &mut PhaseTimes,
-) -> Option<InsertionPoint> {
-    find_best_insertion_point_in(region, design, target, cfg, timer, &mut ScratchArena::new())
-}
-
-/// [`find_best_insertion_point_timed`] against a caller-owned
-/// [`ScratchArena`]: the steady-state kernel entry point used by the
-/// drivers, allocation-free once the arena is warm.
-pub fn find_best_insertion_point_in(
-    region: &LocalRegion,
-    design: &Design,
-    target: &TargetSpec,
-    cfg: &LegalizerConfig,
-    timer: &mut PhaseTimes,
-    arena: &mut ScratchArena,
-) -> Option<InsertionPoint> {
-    find_best_insertion_point_traced(region, design, target, cfg, timer, arena, &mut NoopSink)
-}
-
-/// [`find_best_insertion_point_in`] with structured trace events into
-/// `sink`: an `enumerate` span around the whole scan with an `evaluate`
-/// span per scored candidate nested inside. With [`NoopSink`] every
-/// emission folds away and this is exactly
-/// [`find_best_insertion_point_in`].
-#[allow(clippy::too_many_arguments)]
-pub fn find_best_insertion_point_traced<S: Sink>(
-    region: &LocalRegion,
-    design: &Design,
-    target: &TargetSpec,
-    cfg: &LegalizerConfig,
-    timer: &mut PhaseTimes,
-    arena: &mut ScratchArena,
-    sink: &mut S,
-) -> Option<InsertionPoint> {
+    let LegalizeCtx { arena, stats, sink } = ctx;
+    let timer = &mut stats.phases;
     let probe = timer.start();
     if S::ENABLED {
         sink.begin(Phase::Enumerate);
@@ -717,6 +678,16 @@ mod tests {
         (region, ids, design)
     }
 
+    /// One search in a fresh context.
+    fn best(
+        region: &LocalRegion,
+        design: &Design,
+        target: &TargetSpec,
+        cfg: &LegalizerConfig,
+    ) -> Option<InsertionPoint> {
+        find_best_insertion_point(region, design, target, cfg, &mut LegalizeCtx::new())
+    }
+
     fn target(w: i32, h: i32, x: i32, y: i32) -> TargetSpec {
         TargetSpec {
             w,
@@ -815,7 +786,7 @@ mod tests {
         // Row [0,6) fully packed by one 6-wide cell.
         let (region, _, design) = setup(1, 6, &[(6, 1, 0, 0)]);
         let t = target(2, 1, 2, 0);
-        assert!(find_best_insertion_point(&region, &design, &t, &relaxed()).is_none());
+        assert!(best(&region, &design, &t, &relaxed()).is_none());
     }
 
     #[test]
@@ -824,7 +795,7 @@ mod tests {
         // gap right of the second cell costs nothing.
         let (region, ids, design) = setup(1, 20, &[(2, 1, 0, 0), (2, 1, 10, 0)]);
         let t = target(2, 1, 14, 0);
-        let best = find_best_insertion_point(&region, &design, &t, &relaxed()).unwrap();
+        let best = best(&region, &design, &t, &relaxed()).unwrap();
         assert_eq!(best.eval.cost, 0.0);
         assert_eq!(best.eval.x, 14);
         let b = region.local_index_of(ids[1]).unwrap();
@@ -902,11 +873,12 @@ mod tests {
         let t = target(2, 1, 26, 0);
         let pruned_cfg = relaxed();
         let exhaustive_cfg = relaxed().with_prune(false);
-        let mut pt = PhaseTimes::default();
-        let mut et = PhaseTimes::default();
-        let pruned = find_best_insertion_point_timed(&region, &design, &t, &pruned_cfg, &mut pt);
-        let full = find_best_insertion_point_timed(&region, &design, &t, &exhaustive_cfg, &mut et);
+        let mut pruned_ctx = LegalizeCtx::new();
+        let mut full_ctx = LegalizeCtx::new();
+        let pruned = find_best_insertion_point(&region, &design, &t, &pruned_cfg, &mut pruned_ctx);
+        let full = find_best_insertion_point(&region, &design, &t, &exhaustive_cfg, &mut full_ctx);
         assert_eq!(pruned, full);
+        let (pt, et) = (pruned_ctx.stats.phases, full_ctx.stats.phases);
         assert_eq!(pt.combos_generated, et.combos_generated);
         assert_eq!(et.combos_evaluated, et.combos_generated);
         assert_eq!(et.combos_pruned, 0);
@@ -928,8 +900,8 @@ mod tests {
         );
         let t = target(2, 2, 12, 0);
         let base = relaxed().with_eval_mode(EvalMode::Exact);
-        let pruned = find_best_insertion_point(&region, &design, &t, &base.clone());
-        let full = find_best_insertion_point(&region, &design, &t, &base.with_prune(false));
+        let pruned = best(&region, &design, &t, &base.clone());
+        let full = best(&region, &design, &t, &base.with_prune(false));
         assert_eq!(pruned, full);
     }
 
@@ -938,14 +910,12 @@ mod tests {
         // Two very different searches through the same arena must give the
         // same answers as fresh-arena searches.
         let (region, _, design) = setup(3, 30, &[(2, 2, 9, 0), (2, 1, 4, 2), (3, 1, 20, 1)]);
-        let mut arena = ScratchArena::new();
-        let mut timer = PhaseTimes::default();
+        let mut ctx = LegalizeCtx::new();
         let cfg = relaxed();
         for t in [target(2, 2, 5, 0), target(3, 1, 22, 1), target(2, 3, 11, 0)] {
-            let with_arena =
-                find_best_insertion_point_in(&region, &design, &t, &cfg, &mut timer, &mut arena);
-            let fresh = find_best_insertion_point(&region, &design, &t, &cfg);
-            assert_eq!(with_arena, fresh);
+            let reused = find_best_insertion_point(&region, &design, &t, &cfg, &mut ctx);
+            let fresh = best(&region, &design, &t, &cfg);
+            assert_eq!(reused, fresh);
         }
     }
 }

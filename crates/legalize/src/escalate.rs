@@ -10,15 +10,16 @@
 //! 1. **Ripple chains** ([`Legalizer::tier1_ripple`]): displace an
 //!    already-placed victim to free the target's window, then re-place the
 //!    victim — recursively displacing at most
-//!    [`crate::EscalationConfig::ripple_depth`] cells. The whole chain is
-//!    one transaction: it either commits with a bounded total displacement
-//!    or rolls back via one [`mrl_db::PlacementState::displace_batch`]
-//!    call, leaving the placement logically identical.
+//!    [`crate::EscalationConfig::ripple_depth`] cells. The whole chain runs
+//!    inside one nested [`mrl_db::Savepoint`]: its journal is both the
+//!    displacement meter for the ripple budget and the rollback plan, so
+//!    the chain either commits with a bounded total displacement or rolls
+//!    back, leaving the placement logically identical.
 //! 2. **Height-binned repack** ([`Legalizer::tier2_repack`]): rip up every
 //!    cell in a scaled subwindow and re-insert them per height class,
 //!    tallest first — the `MultirowAbacus` discipline, which stops short
 //!    cells from fragmenting the rows multi-row cells need. All-or-nothing
-//!    with the same rollback.
+//!    in a savepoint of its own.
 //! 3. **ILP-local** ([`ilp_place_window`]): solve the window problem to
 //!    optimality with a MILP on an *enlarged* frozen neighborhood. On the
 //!    same window the MILP optimum equals exhaustive-exact MLL, so the
@@ -34,78 +35,15 @@
 //! pass.
 
 use crate::config::LegalizerConfig;
-use crate::legalizer::{LegalizeError, LegalizeStats, Legalizer};
-use crate::mll::{mll_transacted_traced, MllTransaction};
+use crate::legalizer::{LegalizeCtx, LegalizeError, Legalizer};
+use crate::mll::mll;
 use crate::region::LocalRegion;
-use crate::scratch::ScratchArena;
-use crate::timing::Phase;
-use mrl_db::{CellId, Design, PlacementState};
+use mrl_db::{CellId, Design, PlacementState, Savepoint};
 use mrl_geom::{SitePoint, SiteRect};
 use mrl_ilp::{Model, Op, SolveError, VarId};
-use mrl_trace::Sink;
+use mrl_trace::{Phase, Sink};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
-
-/// First-touch position log of one escalation attempt: every cell the
-/// attempt moved, with its position *before* the attempt. The log doubles
-/// as the rollback plan (one `displace_batch` call restores everything)
-/// and as the displacement meter for the ripple budget.
-struct ChainCtx {
-    target: CellId,
-    orig: Vec<(CellId, Option<SitePoint>)>,
-}
-
-impl ChainCtx {
-    fn new(state: &PlacementState, target: CellId) -> Self {
-        ChainCtx {
-            target,
-            orig: vec![(target, state.position(target))],
-        }
-    }
-
-    /// Records `cell`'s current position unless it is already tracked.
-    fn note(&mut self, state: &PlacementState, cell: CellId) {
-        if !self.orig.iter().any(|&(c, _)| c == cell) {
-            self.orig.push((cell, state.position(cell)));
-        }
-    }
-
-    /// Records the pre-shift positions of every cell an MLL transaction
-    /// moved (shifts preserve the row, so the current y is the old y).
-    fn note_tx(&mut self, state: &PlacementState, tx: &MllTransaction) {
-        for &(moved, old_x) in &tx.undo_moves {
-            if !self.orig.iter().any(|&(c, _)| c == moved) {
-                let y = state.position(moved).expect("shifted cell is placed").y;
-                self.orig.push((moved, Some(SitePoint::new(old_x, y))));
-            }
-        }
-    }
-
-    /// Restores every tracked cell to its pre-attempt position in one
-    /// transactional batch.
-    fn rollback(&self, design: &Design, state: &mut PlacementState) -> Result<(), LegalizeError> {
-        state
-            .displace_batch(design, &self.orig)
-            .map(|_| ())
-            .map_err(LegalizeError::Db)
-    }
-
-    /// Total Manhattan displacement (sites + rows) inflicted on already
-    /// placed cells, excluding the target. `None` if a tracked cell is
-    /// still unplaced (the chain is incomplete).
-    fn induced_disp(&self, state: &PlacementState) -> Option<i64> {
-        let mut total = 0i64;
-        for &(c, orig) in &self.orig {
-            if c == self.target {
-                continue;
-            }
-            let was = orig.expect("non-target tracked cells start placed");
-            let now = state.position(c)?;
-            total += i64::from((now.x - was.x).abs()) + i64::from((now.y - was.y).abs());
-        }
-        Some(total)
-    }
-}
 
 impl Legalizer {
     /// Runs the escalation ladder for one unplaced cell at its snapped
@@ -122,55 +60,49 @@ impl Legalizer {
     ///
     /// [`LegalizeError::Db`] on database inconsistencies (indicates a
     /// bug), including a rollback that cannot restore the entry state.
-    #[allow(clippy::too_many_arguments)]
     pub fn escalate_cell<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
-        stats.escalation.engaged += 1;
-        let probe = stats.phases.start();
+        ctx.stats.escalation.engaged += 1;
+        let probe = ctx.stats.phases.start();
         if S::ENABLED {
-            sink.begin(Phase::Escalate);
+            ctx.sink.begin(Phase::Escalate);
         }
-        let result = self.run_tiers(design, state, cell, stats, arena, sink, round);
+        let result = self.run_tiers(design, state, cell, ctx, round);
         if S::ENABLED {
-            sink.end(Phase::Escalate);
+            ctx.sink.end(Phase::Escalate);
         }
-        stats.phases.stop(Phase::Escalate, probe);
+        ctx.stats.phases.stop(Phase::Escalate, probe);
         if matches!(result, Ok(true)) {
-            stats.placed += 1;
+            ctx.stats.placed += 1;
         }
         result
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_tiers<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let e = self.config().escalation;
         let (fx, fy) = design.input_position(cell);
         let pos = self.snap(design, cell, fx, fy);
-        if e.ripple && self.tier1_ripple(design, state, cell, pos, stats, arena, sink, round)? {
+        if e.ripple && self.tier1_ripple(design, state, cell, pos, ctx, round)? {
             return Ok(true);
         }
-        if e.repack && self.tier2_repack(design, state, cell, pos, stats, arena, sink, round)? {
+        if e.repack && self.tier2_repack(design, state, cell, pos, ctx, round)? {
             return Ok(true);
         }
         if e.ilp {
-            stats.escalation.ilp_solves += 1;
+            ctx.stats.escalation.ilp_solves += 1;
             let rx = self.config().rx * e.ilp_scale;
             let ry = self.config().ry * e.ilp_scale;
             if ilp_place_window(
@@ -183,7 +115,7 @@ impl Legalizer {
                 cell,
                 pos,
             )? {
-                stats.escalation.ilp_placed += 1;
+                ctx.stats.escalation.ilp_placed += 1;
                 return Ok(true);
             }
         }
@@ -191,20 +123,18 @@ impl Legalizer {
     }
 
     /// Tier 1: for each of the nearest victim candidates, try one greedy
-    /// displacement chain. A chain commits only if it places the target,
-    /// re-places every displaced cell, and keeps the induced displacement
-    /// within budget; otherwise it rolls back completely before the next
-    /// candidate is tried.
-    #[allow(clippy::too_many_arguments)]
+    /// displacement chain in a savepoint of its own. A chain commits only
+    /// if it places the target, re-places every displaced cell, and keeps
+    /// the induced displacement its journal meters within budget;
+    /// otherwise it rolls back completely before the next candidate is
+    /// tried.
     fn tier1_ripple<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         target: CellId,
         pos: SitePoint,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let e = self.config().escalation;
@@ -218,56 +148,53 @@ impl Legalizer {
             &[target],
         );
         for victim in first {
-            stats.escalation.ripple_chains += 1;
-            let mut ctx = ChainCtx::new(state, target);
-            let done = self.try_chain(
-                design, state, &mut ctx, target, pos, victim, stats, arena, sink, round,
-            )?;
-            let within_budget = done
-                && ctx
-                    .induced_disp(state)
-                    .is_some_and(|d| d <= e.ripple_max_disp);
+            ctx.stats.escalation.ripple_chains += 1;
+            let sp = state.savepoint();
+            let chain = |state: &mut PlacementState, ctx: &mut LegalizeCtx<S>| {
+                let at = state.remove(design, victim)?;
+                Ok(self.chain_place(design, state, target, pos, ctx, round)?
+                    && self.drain_chain(design, state, target, (victim, at), ctx, round)?)
+            };
+            let done = match chain(state, ctx) {
+                Ok(done) => done,
+                Err(err) => {
+                    state.release(sp);
+                    return Err(err);
+                }
+            };
+            let within_budget =
+                done && induced_disp(state, &sp, target).is_some_and(|d| d <= e.ripple_max_disp);
             if within_budget {
-                stats.escalation.ripple_placed += 1;
+                state.release(sp);
+                ctx.stats.escalation.ripple_placed += 1;
                 return Ok(true);
             }
-            stats.escalation.ripple_rolled_back += 1;
-            ctx.rollback(design, state)?;
+            ctx.stats.escalation.ripple_rolled_back += 1;
+            state.rollback_to(design, sp)?;
         }
         Ok(false)
     }
 
-    /// One greedy chain: displace `victim`, place the target, then drain
-    /// the queue of displaced cells — re-placing each at its old position,
-    /// displacing at most `ripple_depth` cells in total. Returns whether
-    /// every cell ended up placed (the caller checks the budget and rolls
-    /// back on failure).
-    #[allow(clippy::too_many_arguments)]
-    fn try_chain<S: Sink>(
+    /// The rest of one greedy chain once `victim` made room for `target`:
+    /// drain the queue of displaced cells — re-placing each at its old
+    /// position, displacing at most `ripple_depth` cells in total. Returns
+    /// whether every cell ended up placed (the caller checks the budget and
+    /// rolls back on failure).
+    fn drain_chain<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
-        ctx: &mut ChainCtx,
         target: CellId,
-        pos: SitePoint,
-        victim: CellId,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        victim: (CellId, SitePoint),
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let e = self.config().escalation;
-        let mut visited = vec![target, victim];
-        let mut queue: VecDeque<(CellId, SitePoint)> = VecDeque::new();
-        ctx.note(state, victim);
-        let at = state.remove(design, victim).map_err(LegalizeError::Db)?;
-        queue.push_back((victim, at));
-        if !self.chain_place(design, state, ctx, target, pos, stats, arena, sink, round)? {
-            return Ok(false);
-        }
+        let mut visited = vec![target, victim.0];
+        let mut queue = VecDeque::from([victim]);
         let mut links = 1u32;
         while let Some((cell, back_at)) = queue.pop_front() {
-            if self.chain_place(design, state, ctx, cell, back_at, stats, arena, sink, round)? {
+            if self.chain_place(design, state, cell, back_at, ctx, round)? {
                 continue;
             }
             if links >= e.ripple_depth {
@@ -278,12 +205,11 @@ impl Legalizer {
             let Some(&further) = next.first() else {
                 return Ok(false);
             };
-            ctx.note(state, further);
             visited.push(further);
-            let f_at = state.remove(design, further).map_err(LegalizeError::Db)?;
+            let f_at = state.remove(design, further)?;
             queue.push_back((further, f_at));
             links += 1;
-            if !self.chain_place(design, state, ctx, cell, back_at, stats, arena, sink, round)? {
+            if !self.chain_place(design, state, cell, back_at, ctx, round)? {
                 return Ok(false);
             }
         }
@@ -293,17 +219,15 @@ impl Legalizer {
     /// Tier 2: rip up every placed movable cell fully inside a scaled
     /// subwindow around the target and re-insert them (plus the target) in
     /// height-class-descending order, each at its prior position. All cells
-    /// must re-place for the repack to commit.
-    #[allow(clippy::too_many_arguments)]
+    /// must re-place for the repack to commit; otherwise its savepoint
+    /// rolls back.
     fn tier2_repack<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         target: CellId,
         pos: SitePoint,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let cfg = self.config();
@@ -320,21 +244,46 @@ impl Legalizer {
         if victims.is_empty() || victims.len() > e.repack_max_cells {
             return Ok(false);
         }
-        stats.escalation.repack_windows += 1;
-        let mut ctx = ChainCtx::new(state, target);
-        for &(v, _) in &victims {
-            ctx.note(state, v);
-        }
+        ctx.stats.escalation.repack_windows += 1;
         let rip: Vec<(CellId, Option<SitePoint>)> =
             victims.iter().map(|&(v, _)| (v, None)).collect();
-        state
-            .displace_batch(design, &rip)
-            .map_err(LegalizeError::Db)?;
         let mut items = victims;
         items.push((target, pos));
-        // Tallest class first; within a class left-to-right, then by id.
-        // Earlier insertions are "fixed" from the perspective of later
-        // ones exactly as in MultirowAbacus's per-height passes.
+        let sp = state.savepoint();
+        let packed = match state.displace_batch(design, &rip) {
+            Ok(()) => self.place_tallest_first(design, state, items, ctx, round),
+            Err(err) => Err(err.into()),
+        };
+        match packed {
+            Ok(true) => {
+                state.release(sp);
+                ctx.stats.escalation.repack_placed += 1;
+                Ok(true)
+            }
+            Ok(false) => {
+                state.rollback_to(design, sp)?;
+                Ok(false)
+            }
+            Err(err) => {
+                state.release(sp);
+                Err(err)
+            }
+        }
+    }
+
+    /// Re-inserts the ripped-up cells of a repack window, tallest class
+    /// first. Returns whether every cell was placed.
+    fn place_tallest_first<S: Sink>(
+        &self,
+        design: &Design,
+        state: &mut PlacementState,
+        mut items: Vec<(CellId, SitePoint)>,
+        ctx: &mut LegalizeCtx<S>,
+        round: u32,
+    ) -> Result<bool, LegalizeError> {
+        // Within a class left-to-right, then by id. Earlier insertions are
+        // "fixed" from the perspective of later ones exactly as in
+        // MultirowAbacus's per-height passes.
         items.sort_by_key(|&(cell, at)| {
             (
                 Reverse(design.cell(cell).height()),
@@ -344,42 +293,25 @@ impl Legalizer {
             )
         });
         for (cell, at) in items {
-            if !self.chain_place(
-                design,
-                state,
-                ctx.by_ref(),
-                cell,
-                at,
-                stats,
-                arena,
-                sink,
-                round,
-            )? {
-                ctx.rollback(design, state)?;
+            if !self.chain_place(design, state, cell, at, ctx, round)? {
                 return Ok(false);
             }
         }
-        stats.escalation.repack_placed += 1;
         Ok(true)
     }
 
     /// Places one unplaced cell at `at`: directly if the footprint is
-    /// free, else via MLL around `at`. Every move is recorded into `ctx`
-    /// so the attempt stays rollback-able.
-    #[allow(clippy::too_many_arguments)]
+    /// free, else via MLL around `at`. Every move lands in the open
+    /// savepoint, so the attempt stays rollback-able.
     fn chain_place<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
-        ctx: &mut ChainCtx,
         cell: CellId,
         at: SitePoint,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
-        ctx.note(state, cell);
         let cfg = self.config();
         let direct = if cfg.rail_mode.is_aligned() {
             state.place(design, cell, at)
@@ -389,35 +321,25 @@ impl Legalizer {
         if direct.is_ok() {
             return Ok(true);
         }
-        stats.mll_calls += 1;
-        match mll_transacted_traced(
-            design,
-            state,
-            cfg,
-            cell,
-            at,
-            &mut stats.phases,
-            arena,
-            sink,
-            round,
-        )
-        .map_err(LegalizeError::Db)?
-        {
-            Ok(tx) => {
-                ctx.note_tx(state, &tx);
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        ctx.stats.mll_calls += 1;
+        Ok(mll(design, state, cfg, cell, at, ctx, round)?.is_ok())
     }
 }
 
-impl ChainCtx {
-    /// Reborrow helper so call sites can thread the context through
-    /// `chain_place` while keeping it for the rollback branch.
-    fn by_ref(&mut self) -> &mut Self {
-        self
+/// Total Manhattan displacement (sites + rows) the moves journaled since
+/// `sp` inflicted on already placed cells, excluding the target. `None` if
+/// a journaled cell is still unplaced (the chain is incomplete).
+fn induced_disp(state: &PlacementState, sp: &Savepoint, target: CellId) -> Option<i64> {
+    let mut total = 0i64;
+    for &(c, was) in state.journal(sp) {
+        if c == target {
+            continue;
+        }
+        let was = was.expect("non-target journaled cells start placed");
+        let now = state.position(c)?;
+        total += i64::from((now.x - was.x).abs()) + i64::from((now.y - was.y).abs());
     }
+    Some(total)
 }
 
 /// Placed movable cells intersecting the window of `cell` snapped at
@@ -448,7 +370,7 @@ fn victim_candidates(
                 continue;
             }
             let seg_id = mrl_db::SegId::from_usize(base + i);
-            for &v in state.cells_intersecting(design, seg_id, x0, x1) {
+            for &v in state.cells_intersecting(seg_id, x0, x1) {
                 if design.cell(v).is_movable() && !exclude.contains(&v) {
                     found.push(v);
                 }
@@ -485,7 +407,7 @@ fn cells_fully_inside(
                 continue;
             }
             let seg_id = mrl_db::SegId::from_usize(base + i);
-            for &v in state.cells_intersecting(design, seg_id, win.x, win.right()) {
+            for &v in state.cells_intersecting(seg_id, win.x, win.right()) {
                 if design.cell(v).is_movable() {
                     found.push(v);
                 }
@@ -710,7 +632,6 @@ mod tests {
     use super::*;
     use crate::config::{EscalationConfig, PowerRailMode};
     use mrl_db::DesignBuilder;
-    use mrl_trace::NoopSink;
 
     fn relaxed_escalating() -> LegalizerConfig {
         LegalizerConfig::default()
@@ -733,24 +654,16 @@ mod tests {
         state.place(&design, a, SitePoint::new(0, 0)).unwrap();
         state.place(&design, c, SitePoint::new(5, 0)).unwrap();
         let lg = Legalizer::new(relaxed_escalating());
-        let mut stats = LegalizeStats::default();
-        let mut arena = ScratchArena::new();
+        let mut ctx = LegalizeCtx::new();
         let placed = lg
-            .escalate_cell(
-                &design,
-                &mut state,
-                t,
-                &mut stats,
-                &mut arena,
-                &mut NoopSink,
-                8,
-            )
+            .escalate_cell(&design, &mut state, t, &mut ctx, 8)
             .unwrap();
         assert!(placed);
         assert!(state.is_placed(t));
         assert_eq!(state.num_placed(), 3);
-        assert_eq!(stats.escalation.engaged, 1);
-        assert!(stats.escalation.placed() == 1);
+        assert_eq!(ctx.stats.escalation.engaged, 1);
+        assert!(ctx.stats.escalation.placed() == 1);
+        assert_eq!(state.open_savepoints(), 0);
     }
 
     #[test]
@@ -771,20 +684,12 @@ mod tests {
         state.place(&design, a, SitePoint::new(2, 1)).unwrap();
         let before: Vec<_> = state.iter_placed().collect();
         let lg = Legalizer::new(LegalizerConfig::default().with_window(6, 1));
-        let mut stats = LegalizeStats::default();
-        let mut arena = ScratchArena::new();
+        let mut ctx = LegalizeCtx::new();
         let placed = lg
-            .escalate_cell(
-                &design,
-                &mut state,
-                d,
-                &mut stats,
-                &mut arena,
-                &mut NoopSink,
-                8,
-            )
+            .escalate_cell(&design, &mut state, d, &mut ctx, 8)
             .unwrap();
         assert!(!placed);
+        assert_eq!(state.open_savepoints(), 0);
         assert!(!state.is_placed(d));
         let after: Vec<_> = state.iter_placed().collect();
         assert_eq!(before, after);
@@ -815,21 +720,12 @@ mod tests {
             .with_window(4, 1)
             .with_escalation(EscalationConfig::default().with_tiers(false, false, true));
         let lg = Legalizer::new(cfg);
-        let mut stats = LegalizeStats::default();
-        let mut arena = ScratchArena::new();
+        let mut ctx = LegalizeCtx::new();
         let placed = lg
-            .escalate_cell(
-                &design,
-                &mut state,
-                t,
-                &mut stats,
-                &mut arena,
-                &mut NoopSink,
-                8,
-            )
+            .escalate_cell(&design, &mut state, t, &mut ctx, 8)
             .unwrap();
         assert!(placed, "ILP window should solve the packed row");
-        assert_eq!(stats.escalation.ilp_placed, 1);
+        assert_eq!(ctx.stats.escalation.ilp_placed, 1);
         assert_eq!(state.num_placed(), 5);
     }
 

@@ -6,15 +6,19 @@
 //! retried with uniformly random offsets whose radius grows with the
 //! iteration number (`Rand_x(k) ∈ [−Rx·(k−1), Rx·(k−1)]`, similarly for y)
 //! until everything is placed.
+//!
+//! Every operation takes a [`LegalizeCtx`]: the scratch arena, the run's
+//! [`LegalizeStats`] and the trace sink. Only [`Legalizer::legalize`] and
+//! [`Legalizer::legalize_parallel`] build one themselves.
 
 use crate::config::{CellOrder, LegalizerConfig};
-use crate::mll::mll_transacted_traced;
+use crate::mll::mll;
 use crate::scratch::ScratchArena;
-use crate::timing::{Phase, PhaseTimes};
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
 use mrl_trace::{
-    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, NoopSink, Sink,
+    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, NoopSink, Phase,
+    PhaseTimes, Sink,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -38,8 +42,8 @@ pub struct LegalizeStats {
     /// Total MLL invocations, including failed ones.
     pub mll_calls: usize,
     /// Per-phase wall-clock breakdown (extract / enumerate / evaluate /
-    /// realize / retry). In the parallel driver this is the *sum* over
-    /// workers, so phase time can exceed [`LegalizeStats::wall`].
+    /// realize / retry / escalate). In the parallel driver this is the
+    /// *sum* over workers, so phase time can exceed [`LegalizeStats::wall`].
     pub phases: PhaseTimes,
     /// End-to-end wall time of the driver.
     pub wall: Duration,
@@ -62,6 +66,42 @@ pub struct LegalizeStats {
     /// [`crate::EscalationConfig`]). All zero when escalation never
     /// engaged.
     pub escalation: EscalationCounters,
+}
+
+/// The working context of one legalizer run: the thread's scratch arena,
+/// the run's statistics (with their phase ledger) and the trace sink.
+///
+/// The drivers reset [`stats`](LegalizeCtx::stats) when they start, so
+/// after a run — failed or not — they describe that run; the single-cell
+/// operations ([`crate::mll()`], [`Legalizer::try_place`],
+/// [`Legalizer::escalate_cell`]) add to them. Reuse one context across
+/// calls to keep the arena warm.
+#[derive(Debug, Default)]
+pub struct LegalizeCtx<S = NoopSink> {
+    /// Reusable kernel buffers (DESIGN.md §6).
+    pub arena: ScratchArena,
+    /// Counters and the phase ledger.
+    pub stats: LegalizeStats,
+    /// Structured-event consumer; [`NoopSink`] compiles every event away.
+    pub sink: S,
+}
+
+impl LegalizeCtx {
+    /// A context that records no trace events.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl<S> LegalizeCtx<S> {
+    /// A context recording trace events into `sink`.
+    pub fn with_sink(sink: S) -> Self {
+        LegalizeCtx {
+            arena: ScratchArena::new(),
+            stats: LegalizeStats::default(),
+            sink,
+        }
+    }
 }
 
 /// Error returned when legalization cannot complete.
@@ -190,66 +230,26 @@ impl Legalizer {
         SitePoint::new(x, row)
     }
 
-    /// One placement attempt for an unplaced cell at a fractional-site
-    /// position: direct placement if the snapped footprint is free,
-    /// otherwise MLL. Returns whether the cell is now placed.
+    /// One placement attempt for an unplaced cell at the fractional-site
+    /// position `at`: direct placement if the snapped footprint is free,
+    /// otherwise MLL. Returns `Ok(None)` when the cell is now placed and
+    /// `Ok(Some(reason))` when it is not; the reason is also tallied into
+    /// `ctx.stats.fail_counts`. `round` is diagnostic only (0 = first pass,
+    /// `k` = retry round `k`).
     ///
     /// # Errors
     ///
     /// Propagates database errors (e.g. the cell is already placed).
-    pub fn try_place(
+    pub fn try_place<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
-        fx: f64,
-        fy: f64,
-        stats: &mut LegalizeStats,
-    ) -> Result<bool, LegalizeError> {
-        self.try_place_in(design, state, cell, fx, fy, stats, &mut ScratchArena::new())
-    }
-
-    /// [`try_place`](Legalizer::try_place) against a caller-owned
-    /// [`ScratchArena`], the drivers' steady-state entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`try_place`](Legalizer::try_place).
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_place_in(
-        &self,
-        design: &Design,
-        state: &mut PlacementState,
-        cell: CellId,
-        fx: f64,
-        fy: f64,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-    ) -> Result<bool, LegalizeError> {
-        Ok(self
-            .try_place_traced(design, state, cell, fx, fy, stats, arena, &mut NoopSink, 0)?
-            .is_none())
-    }
-
-    /// [`try_place_in`](Legalizer::try_place_in) with a structured-event
-    /// [`Sink`] and an explicit failure reason. Returns `Ok(None)` when the
-    /// cell is now placed and `Ok(Some(reason))` when it is not; the reason
-    /// is also tallied into `stats.fail_counts`. `round` is diagnostic only
-    /// (0 = first pass, `k` = retry round `k`).
-    #[allow(clippy::too_many_arguments)]
-    fn try_place_traced<S: Sink>(
-        &self,
-        design: &Design,
-        state: &mut PlacementState,
-        cell: CellId,
-        fx: f64,
-        fy: f64,
-        stats: &mut LegalizeStats,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        at: (f64, f64),
+        ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<Option<FailReason>, LegalizeError> {
-        let pos = self.snap(design, cell, fx, fy);
+        let pos = self.snap(design, cell, at.0, at.1);
         let direct = if self.cfg.rail_mode.is_aligned() {
             state.place(design, cell, pos)
         } else {
@@ -257,11 +257,11 @@ impl Legalizer {
         };
         match direct {
             Ok(()) => {
-                stats.direct += 1;
-                stats.placed += 1;
+                ctx.stats.direct += 1;
+                ctx.stats.placed += 1;
                 if S::ENABLED {
                     let c = design.cell(cell);
-                    sink.attempt(AttemptRecord {
+                    ctx.sink.attempt(AttemptRecord {
                         cell: cell.index() as u32,
                         height: c.height() as u8,
                         retry_round: round,
@@ -282,25 +282,15 @@ impl Legalizer {
             }
             Err(DbError::AlreadyPlaced(c)) => Err(DbError::AlreadyPlaced(c).into()),
             Err(_) => {
-                stats.mll_calls += 1;
-                match mll_transacted_traced(
-                    design,
-                    state,
-                    &self.cfg,
-                    cell,
-                    pos,
-                    &mut stats.phases,
-                    arena,
-                    sink,
-                    round,
-                )? {
+                ctx.stats.mll_calls += 1;
+                match mll(design, state, &self.cfg, cell, pos, ctx, round)? {
                     Ok(_) => {
-                        stats.via_mll += 1;
-                        stats.placed += 1;
+                        ctx.stats.via_mll += 1;
+                        ctx.stats.placed += 1;
                         Ok(None)
                     }
                     Err(reason) => {
-                        stats.fail_counts.record(reason);
+                        ctx.stats.fail_counts.record(reason);
                         Ok(Some(reason))
                     }
                 }
@@ -321,54 +311,26 @@ impl Legalizer {
         design: &Design,
         state: &mut PlacementState,
     ) -> Result<LegalizeStats, LegalizeError> {
-        let (stats, result) = self.legalize_traced(design, state, &mut NoopSink);
-        result.map(|()| stats)
+        let mut ctx = LegalizeCtx::new();
+        self.legalize_with(design, state, &mut ctx)
+            .map(|()| ctx.stats)
     }
 
-    /// [`legalize`](Legalizer::legalize) with a structured-event [`Sink`].
-    ///
-    /// Returns the stats *alongside* the outcome (instead of inside it) so
+    /// [`legalize`](Legalizer::legalize) in a caller-owned context. The
+    /// run's statistics land in `ctx.stats` whether or not it succeeds, so
     /// diagnostics — failure-reason tallies, phase times, attempt records
-    /// already emitted into `sink` — survive a failed run. With
-    /// [`NoopSink`] this is exactly `legalize` (the sink calls compile
-    /// away).
-    pub fn legalize_traced<S: Sink>(
+    /// already emitted into the sink — survive a failed run.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`legalize`](Legalizer::legalize).
+    pub fn legalize_with<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
-        sink: &mut S,
-    ) -> (LegalizeStats, Result<(), LegalizeError>) {
-        let wall = std::time::Instant::now();
-        let mut stats = LegalizeStats {
-            phases: PhaseTimes::enabled(),
-            threads: 1,
-            ..LegalizeStats::default()
-        };
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        let mut arena = ScratchArena::new();
-        let unplaced = self.ordered_unplaced(design, state, &mut rng);
-
-        // First pass at the input positions (lines 2–7).
-        let mut remaining = Vec::new();
-        for cell in unplaced {
-            let (fx, fy) = design.input_position(cell);
-            match self
-                .try_place_traced(design, state, cell, fx, fy, &mut stats, &mut arena, sink, 0)
-            {
-                Ok(None) => {}
-                Ok(Some(reason)) => remaining.push((cell, reason)),
-                Err(e) => {
-                    stats.wall = wall.elapsed();
-                    return (stats, Err(e));
-                }
-            }
-        }
-
-        let result = self.retry_loop(
-            design, state, remaining, &mut stats, &mut rng, &mut arena, sink,
-        );
-        stats.wall = wall.elapsed();
-        (stats, result)
+        ctx: &mut LegalizeCtx<S>,
+    ) -> Result<(), LegalizeError> {
+        self.run_cells(design, state, None, ctx)
     }
 
     /// Re-legalizes a caller-chosen set of currently unplaced cells at
@@ -378,61 +340,66 @@ impl Legalizer {
     /// cells an edit batch disturbs. The subset runs the same ladder as a
     /// full [`legalize`](Legalizer::legalize): a first pass at the input
     /// positions, then the random-offset retry loop with escalation.
-    /// Already-placed cells in `cells` are skipped.
+    /// Already-placed cells in `cells` are skipped. Statistics land in
+    /// `ctx.stats` as for [`legalize_with`](Legalizer::legalize_with).
     ///
     /// # Errors
     ///
     /// Same as [`legalize`](Legalizer::legalize).
-    pub fn legalize_subset(
+    pub fn legalize_subset<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cells: &[CellId],
-    ) -> Result<LegalizeStats, LegalizeError> {
-        let mut arena = ScratchArena::new();
-        let (stats, result) =
-            self.legalize_subset_in(design, state, cells, &mut arena, &mut NoopSink);
-        result.map(|()| stats)
+        ctx: &mut LegalizeCtx<S>,
+    ) -> Result<(), LegalizeError> {
+        self.run_cells(design, state, Some(cells), ctx)
     }
 
-    /// [`legalize_subset`](Legalizer::legalize_subset) against a
-    /// caller-owned [`ScratchArena`] and structured-event [`Sink`] — the
-    /// ECO session's steady-state entry point, so arena pools and trace
-    /// lanes are reused across batches with no rebuild. Stats are returned
-    /// alongside the outcome so a failed batch still reports its work.
-    pub fn legalize_subset_in<S: Sink>(
+    /// The sequential driver body: a first pass at the input positions
+    /// (Algorithm 1 lines 2–7) over `subset`, or over every unplaced cell
+    /// in the configured order, then the retry loop.
+    fn run_cells<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
-        cells: &[CellId],
-        arena: &mut ScratchArena,
-        sink: &mut S,
-    ) -> (LegalizeStats, Result<(), LegalizeError>) {
+        subset: Option<&[CellId]>,
+        ctx: &mut LegalizeCtx<S>,
+    ) -> Result<(), LegalizeError> {
         let wall = std::time::Instant::now();
-        let mut stats = LegalizeStats {
-            phases: PhaseTimes::enabled(),
+        ctx.stats = LegalizeStats {
             threads: 1,
             ..LegalizeStats::default()
         };
         let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
+        let ordered;
+        let cells = match subset {
+            Some(cells) => cells,
+            None => {
+                ordered = self.ordered_unplaced(design, state, &mut rng);
+                &ordered
+            }
+        };
         let mut remaining = Vec::new();
+        let mut result = Ok(());
         for &cell in cells {
             if state.is_placed(cell) {
                 continue;
             }
-            let (fx, fy) = design.input_position(cell);
-            match self.try_place_traced(design, state, cell, fx, fy, &mut stats, arena, sink, 0) {
+            match self.try_place(design, state, cell, design.input_position(cell), ctx, 0) {
                 Ok(None) => {}
                 Ok(Some(reason)) => remaining.push((cell, reason)),
                 Err(e) => {
-                    stats.wall = wall.elapsed();
-                    return (stats, Err(e));
+                    result = Err(e);
+                    break;
                 }
             }
         }
-        let result = self.retry_loop(design, state, remaining, &mut stats, &mut rng, arena, sink);
-        stats.wall = wall.elapsed();
-        (stats, result)
+        if result.is_ok() {
+            result = self.retry_loop(design, state, remaining, &mut rng, ctx);
+        }
+        ctx.stats.wall = wall.elapsed();
+        result
     }
 
     /// The movable, still-unplaced cells in the configured visiting order.
@@ -468,21 +435,18 @@ impl Legalizer {
     /// pair carries the cell's most recent failure reason; the reason is
     /// refreshed on every failed retry so the final tally reflects the last
     /// attempt.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn retry_loop<S: Sink>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         mut remaining: Vec<(CellId, FailReason)>,
-        stats: &mut LegalizeStats,
         rng: &mut SmallRng,
-        arena: &mut ScratchArena,
-        sink: &mut S,
+        ctx: &mut LegalizeCtx<S>,
     ) -> Result<(), LegalizeError> {
         let mut k = 1u32;
         while !remaining.is_empty() {
             if k > self.cfg.max_retry_iters {
-                stats.fail_counts.retry_budget_exhausted += remaining.len() as u64;
+                ctx.stats.fail_counts.retry_budget_exhausted += remaining.len() as u64;
                 let (cell, reason) = remaining[0];
                 return Err(LegalizeError::Unplaceable {
                     cell,
@@ -490,11 +454,11 @@ impl Legalizer {
                     reason,
                 });
             }
-            stats.retry_rounds = k;
-            let probe = stats.phases.start();
+            ctx.stats.retry_rounds = k;
+            let probe = ctx.stats.phases.start();
             if S::ENABLED {
-                sink.begin(Phase::Retry);
-                sink.counter("retry.remaining", remaining.len() as u64);
+                ctx.sink.begin(Phase::Retry);
+                ctx.sink.counter("retry.remaining", remaining.len() as u64);
             }
             let radius_x = i64::from(self.cfg.rx) * i64::from(k - 1);
             let radius_y = i64::from(self.cfg.ry) * i64::from(k - 1);
@@ -511,17 +475,7 @@ impl Legalizer {
                 } else {
                     0.0
                 };
-                match self.try_place_traced(
-                    design,
-                    state,
-                    cell,
-                    fx + dx,
-                    fy + dy,
-                    stats,
-                    arena,
-                    sink,
-                    k,
-                ) {
+                match self.try_place(design, state, cell, (fx + dx, fy + dy), ctx, k) {
                     Ok(None) => {}
                     Ok(Some(reason)) => {
                         // Escalation ladder: engage every `after_rounds`-th
@@ -534,7 +488,7 @@ impl Legalizer {
                             && k >= esc.after_rounds
                             && k.is_multiple_of(esc.after_rounds);
                         let escalated = if engage {
-                            self.escalate_cell(design, state, cell, stats, arena, sink, k)
+                            self.escalate_cell(design, state, cell, ctx, k)
                         } else {
                             Ok(false)
                         };
@@ -542,7 +496,9 @@ impl Legalizer {
                             Ok(true) => {}
                             Ok(false) => {
                                 let reason = if engage {
-                                    stats.fail_counts.record(FailReason::EscalationExhausted);
+                                    ctx.stats
+                                        .fail_counts
+                                        .record(FailReason::EscalationExhausted);
                                     FailReason::EscalationExhausted
                                 } else {
                                     reason
@@ -551,27 +507,27 @@ impl Legalizer {
                             }
                             Err(e) => {
                                 if S::ENABLED {
-                                    sink.end(Phase::Retry);
+                                    ctx.sink.end(Phase::Retry);
                                 }
-                                stats.phases.stop(Phase::Retry, probe);
+                                ctx.stats.phases.stop(Phase::Retry, probe);
                                 return Err(e);
                             }
                         }
                     }
                     Err(e) => {
                         if S::ENABLED {
-                            sink.end(Phase::Retry);
+                            ctx.sink.end(Phase::Retry);
                         }
-                        stats.phases.stop(Phase::Retry, probe);
+                        ctx.stats.phases.stop(Phase::Retry, probe);
                         return Err(e);
                     }
                 }
             }
             remaining = still;
             if S::ENABLED {
-                sink.end(Phase::Retry);
+                ctx.sink.end(Phase::Retry);
             }
-            stats.phases.stop(Phase::Retry, probe);
+            ctx.stats.phases.stop(Phase::Retry, probe);
             k += 1;
         }
         Ok(())
@@ -777,9 +733,11 @@ mod tests {
             state.remove(&design, v).unwrap();
         }
         let others: Vec<_> = state.snapshot();
-        let stats = legalizer
-            .legalize_subset(&design, &mut state, &victims)
+        let mut ctx = LegalizeCtx::new();
+        legalizer
+            .legalize_subset(&design, &mut state, &victims, &mut ctx)
             .unwrap();
+        let stats = ctx.stats;
         assert_eq!(stats.placed, 2);
         for &v in &victims {
             assert!(state.is_placed(v), "{v} must be re-placed");
@@ -790,9 +748,9 @@ mod tests {
         assert!(moved <= 2 + stats.via_mll * 4, "moved={moved}");
         state.verify_index(&design).unwrap();
         // Already-placed listed cells are skipped, not an error.
-        let stats = legalizer
-            .legalize_subset(&design, &mut state, &victims)
+        legalizer
+            .legalize_subset(&design, &mut state, &victims, &mut ctx)
             .unwrap();
-        assert_eq!(stats.placed, 0);
+        assert_eq!(ctx.stats.placed, 0);
     }
 }

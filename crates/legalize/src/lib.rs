@@ -29,7 +29,10 @@
 //!
 //! The top-level driver [`Legalizer`] (Algorithm 1) runs MLL for every cell
 //! of a global placement, retrying failed cells at randomly perturbed
-//! positions with a growing radius.
+//! positions with a growing radius. Every operation runs in a
+//! [`LegalizeCtx`] — scratch arena, run statistics, trace sink — which
+//! only [`Legalizer::legalize`] and [`Legalizer::legalize_parallel`] build
+//! for themselves.
 //!
 //! # Examples
 //!
@@ -68,30 +71,23 @@ mod realize;
 mod refine;
 pub mod region;
 mod scratch;
-pub mod timing;
 
 pub use config::{CellOrder, EscalationConfig, EvalMode, LegalizerConfig, PowerRailMode};
 pub use detailed::{DetailedConfig, DetailedPlacer, DetailedStats};
-pub use enumerate::{
-    enumerate_insertion_points, find_best_insertion_point, find_best_insertion_point_in,
-    find_best_insertion_point_timed, find_best_insertion_point_traced, InsertionPoint,
-};
+pub use enumerate::{enumerate_insertion_points, find_best_insertion_point, InsertionPoint};
 pub use escalate::{ilp_place_window, solve_window_milp};
 pub use evaluate::{evaluate, evaluate_exact, Evaluation, TargetSpec};
 pub use interval::InsInterval;
-pub use legalizer::{LegalizeError, LegalizeStats, Legalizer};
-pub use mll::{
-    mll, mll_in, mll_timed, mll_transacted, mll_transacted_in, mll_transacted_timed,
-    mll_transacted_traced, MllOutcome, MllTransaction,
-};
-// Structured-event layer (see the `mrl-trace` crate): the sink trait, the
-// concrete sinks, and the failure taxonomy used across the drivers.
+pub use legalizer::{LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
+pub use mll::mll;
+// Structured-event layer (see the `mrl-trace` crate): the sink traits, the
+// concrete sinks, the phase ledger, and the failure taxonomy used across
+// the drivers.
 pub use mrl_trace::{
-    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, MetricsSummary,
-    NoopSink, RingSink, Sink, TraceBuf, TraceEvent,
+    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, LaneSink,
+    MetricsSummary, NoopSink, Phase, PhaseTimes, RingSink, Sink, TraceBuf, TraceEvent,
 };
 pub use realize::{realize, Realization};
 pub use refine::{refine_rows, RefineStats};
 pub use region::{ExtractScratch, LocalCells, LocalRegion, LocalSeg};
 pub use scratch::ScratchArena;
-pub use timing::{Phase, PhaseTimes};

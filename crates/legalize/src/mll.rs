@@ -2,234 +2,44 @@
 //! realize → commit.
 
 use crate::config::LegalizerConfig;
-use crate::enumerate::find_best_insertion_point_traced;
+use crate::enumerate::find_best_insertion_point;
 use crate::evaluate::{Evaluation, TargetSpec};
+use crate::legalizer::LegalizeCtx;
 use crate::realize::realize;
 use crate::region::LocalRegion;
-use crate::scratch::ScratchArena;
-use crate::timing::{Phase, PhaseTimes};
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::{SitePoint, SiteRect};
-use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, NoopSink, Sink};
-
-/// Result of one MLL invocation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum MllOutcome {
-    /// The target was placed; the evaluation holds the chosen x and the
-    /// total displacement cost of the insertion.
-    Placed(Evaluation),
-    /// No valid insertion point exists in the local region; the placement
-    /// was left untouched.
-    NoInsertionPoint,
-}
-
-impl MllOutcome {
-    /// True if the target was placed.
-    pub const fn is_placed(&self) -> bool {
-        matches!(self, MllOutcome::Placed(_))
-    }
-}
+use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, Phase, Sink};
 
 /// Runs Multi-row Local Legalization for one unplaced `target` cell at the
 /// site-aligned `pos`, committing the result to `state` on success.
 ///
 /// A window of `2·Rx + w` by `2·Ry + h` sites centered on `pos` is
 /// extracted (Section 3); the minimum-cost valid insertion point within it
-/// is realized. On failure the placement is unchanged.
+/// is realized and its evaluation returned. On failure the placement is
+/// untouched and the reason says why: an empty extraction window versus a
+/// window with free space but no valid insertion point. To undo a success,
+/// open a [`PlacementState::savepoint`] before the call.
+///
+/// Emits an `extract` span around region extraction, a `realize` span
+/// around the commit, and one [`AttemptRecord`] per call carrying the
+/// window, the combo counters this invocation contributed, and the
+/// outcome. `round` is purely diagnostic (stamped into the attempt
+/// record): 0 for first-pass calls, `k` for retry-loop round `k`.
 ///
 /// # Errors
 ///
 /// Returns [`DbError::AlreadyPlaced`] if `target` is already placed. Other
 /// database errors indicate an internal inconsistency and are propagated.
-pub fn mll(
+pub fn mll<S: Sink>(
     design: &Design,
     state: &mut PlacementState,
     cfg: &LegalizerConfig,
     target: CellId,
     pos: SitePoint,
-) -> Result<MllOutcome, DbError> {
-    let mut timer = PhaseTimes::default();
-    mll_timed(design, state, cfg, target, pos, &mut timer)
-}
-
-/// [`mll`] with per-phase wall-clock accounting into `timer`.
-///
-/// # Errors
-///
-/// Same as [`mll`].
-pub fn mll_timed(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-    timer: &mut PhaseTimes,
-) -> Result<MllOutcome, DbError> {
-    mll_in(
-        design,
-        state,
-        cfg,
-        target,
-        pos,
-        timer,
-        &mut ScratchArena::new(),
-    )
-}
-
-/// [`mll_timed`] against a caller-owned [`ScratchArena`] — the drivers'
-/// steady-state entry point.
-///
-/// # Errors
-///
-/// Same as [`mll`].
-pub fn mll_in(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-    timer: &mut PhaseTimes,
-    arena: &mut ScratchArena,
-) -> Result<MllOutcome, DbError> {
-    Ok(
-        match mll_transacted_in(design, state, cfg, target, pos, timer, arena)? {
-            Some(tx) => MllOutcome::Placed(tx.eval),
-            None => MllOutcome::NoInsertionPoint,
-        },
-    )
-}
-
-/// A committed MLL insertion with enough information to undo it —
-/// the primitive detailed placement needs for try-and-revert moves.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MllTransaction {
-    /// The inserted cell.
-    pub target: CellId,
-    /// Where it was placed.
-    pub placed_at: SitePoint,
-    /// The chosen insertion point's evaluation.
-    pub eval: Evaluation,
-    /// Cells the realization shifted, with their *previous* x.
-    pub undo_moves: Vec<(CellId, i32)>,
-}
-
-impl MllTransaction {
-    /// Cells whose position changed (the shifted neighbours plus the
-    /// target itself).
-    pub fn touched_cells(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.undo_moves
-            .iter()
-            .map(|&(c, _)| c)
-            .chain(std::iter::once(self.target))
-    }
-
-    /// Reverts the insertion: removes the target and shifts every moved
-    /// neighbour back.
-    ///
-    /// # Errors
-    ///
-    /// Propagates database errors if the placement was modified since the
-    /// transaction committed (callers must roll back before other moves).
-    pub fn rollback(&self, design: &Design, state: &mut PlacementState) -> Result<(), DbError> {
-        state.remove(design, self.target)?;
-        state.shift_batch(design, &self.undo_moves)
-    }
-}
-
-/// Like [`mll`] but returns an undoable [`MllTransaction`] on success.
-///
-/// # Errors
-///
-/// Same as [`mll`].
-pub fn mll_transacted(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-) -> Result<Option<MllTransaction>, DbError> {
-    let mut timer = PhaseTimes::default();
-    mll_transacted_timed(design, state, cfg, target, pos, &mut timer)
-}
-
-/// [`mll_transacted`] with per-phase wall-clock accounting into `timer`.
-///
-/// # Errors
-///
-/// Same as [`mll`].
-pub fn mll_transacted_timed(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-    timer: &mut PhaseTimes,
-) -> Result<Option<MllTransaction>, DbError> {
-    mll_transacted_in(
-        design,
-        state,
-        cfg,
-        target,
-        pos,
-        timer,
-        &mut ScratchArena::new(),
-    )
-}
-
-/// [`mll_transacted_timed`] against a caller-owned [`ScratchArena`].
-///
-/// # Errors
-///
-/// Same as [`mll`].
-pub fn mll_transacted_in(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-    timer: &mut PhaseTimes,
-    arena: &mut ScratchArena,
-) -> Result<Option<MllTransaction>, DbError> {
-    mll_transacted_traced(
-        design,
-        state,
-        cfg,
-        target,
-        pos,
-        timer,
-        arena,
-        &mut NoopSink,
-        0,
-    )
-    .map(|r| r.ok())
-}
-
-/// [`mll_transacted_in`] with a structured-event [`Sink`] and an explicit
-/// failure taxonomy. Emits an `extract` span around region extraction, a
-/// `realize` span around the commit, and one [`AttemptRecord`] per call
-/// carrying the window, the combo counters this invocation contributed,
-/// and the outcome. The inner `Err(FailReason)` distinguishes an empty
-/// extraction window from a window with free space but no valid insertion
-/// point; the placement is untouched in both cases.
-///
-/// `retry_round` is purely diagnostic (stamped into the attempt record):
-/// 0 for first-pass calls, `k` for retry-loop round `k`.
-///
-/// # Errors
-///
-/// Same as [`mll`].
-#[allow(clippy::too_many_arguments)]
-pub fn mll_transacted_traced<S: Sink>(
-    design: &Design,
-    state: &mut PlacementState,
-    cfg: &LegalizerConfig,
-    target: CellId,
-    pos: SitePoint,
-    timer: &mut PhaseTimes,
-    arena: &mut ScratchArena,
-    sink: &mut S,
-    retry_round: u32,
-) -> Result<Result<MllTransaction, FailReason>, DbError> {
+    ctx: &mut LegalizeCtx<S>,
+    round: u32,
+) -> Result<Result<Evaluation, FailReason>, DbError> {
     if state.is_placed(target) {
         return Err(DbError::AlreadyPlaced(target));
     }
@@ -240,68 +50,53 @@ pub fn mll_transacted_traced<S: Sink>(
         2 * cfg.rx + cell.width(),
         2 * cfg.ry + cell.height(),
     );
-    let probe = timer.start();
+    let probe = ctx.stats.phases.start();
     if S::ENABLED {
-        sink.begin(Phase::Extract);
+        ctx.sink.begin(Phase::Extract);
     }
     // The region lives in the arena so its SoA buffers stay warm across
     // calls; it is taken out for the duration of this call because the
-    // enumeration kernel borrows the arena mutably alongside it. With the
-    // spatial index disabled the old path is reproduced faithfully —
-    // linear gap scans and cold buffers every call — so `--no-spatial-index`
-    // measures what the scaling work actually bought. Both paths produce
-    // bit-identical regions.
-    let mut region = std::mem::take(&mut arena.region);
-    if cfg.spatial_index {
-        region.extract_masked_into(
-            &mut arena.extract,
-            design,
-            state,
-            window,
-            design.region_of(target),
-            true,
-        );
-    } else {
-        region = LocalRegion::extract_with_options(
-            design,
-            state,
-            window,
-            design.region_of(target),
-            false,
-        );
-    }
+    // enumeration kernel borrows the arena mutably alongside it.
+    let mut region = std::mem::take(&mut ctx.arena.region);
+    region.extract_masked_into(
+        &mut ctx.arena.extract,
+        design,
+        state,
+        window,
+        design.region_of(target),
+    );
     if S::ENABLED {
-        sink.end(Phase::Extract);
+        ctx.sink.end(Phase::Extract);
     }
-    timer.stop(Phase::Extract, probe);
+    ctx.stats.phases.stop(Phase::Extract, probe);
     // Snapshot the combo counters so the attempt record can report this
     // invocation's contribution rather than the running totals.
-    let combos_before = (
-        timer.combos_generated,
-        timer.combos_pruned,
-        timer.combos_evaluated,
-    );
-    let attempt =
-        |timer: &PhaseTimes, region: &LocalRegion, outcome: AttemptOutcome| AttemptRecord {
+    let p = &ctx.stats.phases;
+    let combos_before = (p.combos_generated, p.combos_pruned, p.combos_evaluated);
+    let attempt = |ctx: &LegalizeCtx<S>, region: &LocalRegion, outcome: AttemptOutcome| {
+        let p = &ctx.stats.phases;
+        AttemptRecord {
             cell: target.index() as u32,
             height: cell.height() as u8,
-            retry_round,
+            retry_round: round,
             window: [window.x, window.y, window.w, window.h],
             region_cells: region.cells.len() as u32,
-            combos_generated: timer.combos_generated - combos_before.0,
-            combos_pruned: timer.combos_pruned - combos_before.1,
-            combos_evaluated: timer.combos_evaluated - combos_before.2,
+            combos_generated: p.combos_generated - combos_before.0,
+            combos_pruned: p.combos_pruned - combos_before.1,
+            combos_evaluated: p.combos_evaluated - combos_before.2,
             outcome,
-        };
+        }
+    };
     // An extraction with no usable row at all (or fewer rows than the target
     // is tall) can never host the cell — record it as a distinct failure so
     // "window landed outside every region" is visible in diagnostics.
     if region.height() < cell.height() as usize || region.rows.iter().all(|r| r.is_none()) {
         let reason = FailReason::RegionExtractionEmpty;
         if S::ENABLED {
-            sink.attempt(attempt(timer, &region, AttemptOutcome::Fail(reason)));
+            let rec = attempt(ctx, &region, AttemptOutcome::Fail(reason));
+            ctx.sink.attempt(rec);
         }
-        arena.region = region;
+        ctx.arena.region = region;
         return Ok(Err(reason));
     }
     let spec = TargetSpec {
@@ -311,29 +106,20 @@ pub fn mll_transacted_traced<S: Sink>(
         y: pos.y,
         rail: cell.rail(),
     };
-    let Some(point) =
-        find_best_insertion_point_traced(&region, design, &spec, cfg, timer, arena, sink)
-    else {
+    let Some(point) = find_best_insertion_point(&region, design, &spec, cfg, ctx) else {
         let reason = FailReason::NoInsertionPoint;
         if S::ENABLED {
-            sink.attempt(attempt(timer, &region, AttemptOutcome::Fail(reason)));
+            let rec = attempt(ctx, &region, AttemptOutcome::Fail(reason));
+            ctx.sink.attempt(rec);
         }
-        arena.region = region;
+        ctx.arena.region = region;
         return Ok(Err(reason));
     };
-    let probe = timer.start();
+    let probe = ctx.stats.phases.start();
     if S::ENABLED {
-        sink.begin(Phase::Realize);
+        ctx.sink.begin(Phase::Realize);
     }
     let realization = realize(&region, &point, &spec);
-    let undo_moves: Vec<(CellId, i32)> = realization
-        .moves
-        .iter()
-        .map(|&(id, _)| {
-            let i = region.local_index_of(id).expect("moved cell is local");
-            (id, region.cells.x[i as usize])
-        })
-        .collect();
     state.shift_batch(design, &realization.moves)?;
     let at = SitePoint::new(realization.target_x, realization.target_row);
     if cfg.rail_mode.is_aligned() {
@@ -342,25 +128,21 @@ pub fn mll_transacted_traced<S: Sink>(
         state.place_ignoring_rails(design, target, at)?;
     }
     if S::ENABLED {
-        sink.end(Phase::Realize);
-        sink.attempt(attempt(
-            timer,
+        ctx.sink.end(Phase::Realize);
+        let rec = attempt(
+            ctx,
             &region,
             AttemptOutcome::Mll {
                 x: at.x,
                 y: at.y,
                 cost: point.eval.cost,
             },
-        ));
+        );
+        ctx.sink.attempt(rec);
     }
-    timer.stop(Phase::Realize, probe);
-    arena.region = region;
-    Ok(Ok(MllTransaction {
-        target,
-        placed_at: at,
-        eval: point.eval,
-        undo_moves,
-    }))
+    ctx.stats.phases.stop(Phase::Realize, probe);
+    ctx.arena.region = region;
+    Ok(Ok(point.eval))
 }
 
 #[cfg(test)]
@@ -373,6 +155,16 @@ mod tests {
         LegalizerConfig::default().with_rail_mode(PowerRailMode::Relaxed)
     }
 
+    fn run(
+        design: &Design,
+        state: &mut PlacementState,
+        cfg: &LegalizerConfig,
+        target: CellId,
+        pos: SitePoint,
+    ) -> Result<Result<Evaluation, FailReason>, DbError> {
+        mll(design, state, cfg, target, pos, &mut LegalizeCtx::new(), 0)
+    }
+
     #[test]
     fn mll_places_into_free_space_without_moves() {
         let mut b = DesignBuilder::new(2, 40);
@@ -381,8 +173,8 @@ mod tests {
         let design = b.finish().unwrap();
         let mut state = PlacementState::new(&design);
         state.place(&design, a, SitePoint::new(10, 0)).unwrap();
-        let out = mll(&design, &mut state, &relaxed(), t, SitePoint::new(20, 0)).unwrap();
-        assert!(out.is_placed());
+        let out = run(&design, &mut state, &relaxed(), t, SitePoint::new(20, 0)).unwrap();
+        assert!(out.is_ok());
         assert_eq!(state.position(t), Some(SitePoint::new(20, 0)));
         assert_eq!(state.position(a), Some(SitePoint::new(10, 0)));
     }
@@ -398,8 +190,8 @@ mod tests {
         state.place(&design, a, SitePoint::new(2, 0)).unwrap();
         state.place(&design, c, SitePoint::new(7, 0)).unwrap();
         // Only 12 sites; t must squeeze in, pushing a to 0 and c to 8.
-        let out = mll(&design, &mut state, &relaxed(), t, SitePoint::new(4, 0)).unwrap();
-        assert!(out.is_placed());
+        let out = run(&design, &mut state, &relaxed(), t, SitePoint::new(4, 0)).unwrap();
+        assert!(out.is_ok());
         assert_eq!(state.position(a), Some(SitePoint::new(0, 0)));
         assert_eq!(state.position(t), Some(SitePoint::new(4, 0)));
         assert_eq!(state.position(c), Some(SitePoint::new(8, 0)));
@@ -418,8 +210,8 @@ mod tests {
         let mut state = PlacementState::new(&design);
         state.place(&design, a, SitePoint::new(0, 0)).unwrap();
         state.place(&design, c, SitePoint::new(7, 0)).unwrap();
-        let result = mll(&design, &mut state, &relaxed(), t, SitePoint::new(3, 0)).unwrap();
-        assert_eq!(result, MllOutcome::NoInsertionPoint);
+        let result = run(&design, &mut state, &relaxed(), t, SitePoint::new(3, 0)).unwrap();
+        assert_eq!(result, Err(FailReason::NoInsertionPoint));
         // Placement untouched.
         assert_eq!(state.position(a), Some(SitePoint::new(0, 0)));
         assert_eq!(state.position(c), Some(SitePoint::new(7, 0)));
@@ -433,8 +225,8 @@ mod tests {
         let design = b.finish().unwrap();
         let mut state = PlacementState::new(&design);
         let cfg = LegalizerConfig::default();
-        let out = mll(&design, &mut state, &cfg, t, SitePoint::new(5, 1)).unwrap();
-        assert!(out.is_placed());
+        let out = run(&design, &mut state, &cfg, t, SitePoint::new(5, 1)).unwrap();
+        assert!(out.is_ok());
         let p = state.position(t).unwrap();
         assert!(p.y == 0 || p.y == 2, "even-height cell on row {}", p.y);
     }
@@ -445,8 +237,8 @@ mod tests {
         let t = b.add_cell("t", 2, 2);
         let design = b.finish().unwrap();
         let mut state = PlacementState::new(&design);
-        let out = mll(&design, &mut state, &relaxed(), t, SitePoint::new(5, 1)).unwrap();
-        assert!(out.is_placed());
+        let out = run(&design, &mut state, &relaxed(), t, SitePoint::new(5, 1)).unwrap();
+        assert!(out.is_ok());
         assert_eq!(state.position(t).unwrap().y, 1);
     }
 
@@ -458,13 +250,13 @@ mod tests {
         let mut state = PlacementState::new(&design);
         state.place(&design, a, SitePoint::new(0, 0)).unwrap();
         assert!(matches!(
-            mll(&design, &mut state, &relaxed(), a, SitePoint::new(5, 0)),
+            run(&design, &mut state, &relaxed(), a, SitePoint::new(5, 0)),
             Err(DbError::AlreadyPlaced(_))
         ));
     }
 
     #[test]
-    fn transaction_rollback_restores_exact_state() {
+    fn savepoint_rollback_restores_exact_state() {
         let mut b = DesignBuilder::new(1, 12);
         let a = b.add_cell("a", 4, 1);
         let c = b.add_cell("c", 4, 1);
@@ -473,30 +265,15 @@ mod tests {
         let mut state = PlacementState::new(&design);
         state.place(&design, a, SitePoint::new(2, 0)).unwrap();
         state.place(&design, c, SitePoint::new(7, 0)).unwrap();
-        let tx = mll_transacted(&design, &mut state, &relaxed(), t, SitePoint::new(4, 0))
-            .unwrap()
-            .expect("feasible");
-        assert!(state.is_placed(t));
-        assert_eq!(tx.undo_moves.len(), 2);
-        assert!(tx.touched_cells().count() == 3);
-        tx.rollback(&design, &mut state).unwrap();
+        let sp = state.savepoint();
+        let out = run(&design, &mut state, &relaxed(), t, SitePoint::new(4, 0)).unwrap();
+        assert!(out.is_ok());
+        // Both neighbours shifted, then the target placed.
+        assert_eq!(state.journal(&sp).len(), 3);
+        state.rollback_to(&design, sp).unwrap();
         assert!(!state.is_placed(t));
         assert_eq!(state.position(a), Some(SitePoint::new(2, 0)));
         assert_eq!(state.position(c), Some(SitePoint::new(7, 0)));
-    }
-
-    #[test]
-    fn transaction_without_moves_rolls_back_cleanly() {
-        let mut b = DesignBuilder::new(1, 20);
-        let t = b.add_cell("t", 2, 1);
-        let design = b.finish().unwrap();
-        let mut state = PlacementState::new(&design);
-        let tx = mll_transacted(&design, &mut state, &relaxed(), t, SitePoint::new(5, 0))
-            .unwrap()
-            .expect("feasible");
-        assert!(tx.undo_moves.is_empty());
-        tx.rollback(&design, &mut state).unwrap();
-        assert_eq!(state.num_placed(), 0);
     }
 
     #[test]
@@ -515,10 +292,9 @@ mod tests {
         // costs 2 pushes of 1 + 0 target displacement... depends; placing
         // at 14 (right of c) costs 3 of target displacement. The optimum
         // (cost 2) splits a and c.
-        let out = mll(&design, &mut state, &relaxed(), t, SitePoint::new(11, 0)).unwrap();
-        let MllOutcome::Placed(eval) = out else {
-            panic!("expected placement")
-        };
+        let eval = run(&design, &mut state, &relaxed(), t, SitePoint::new(11, 0))
+            .unwrap()
+            .expect("expected placement");
         assert_eq!(eval.cost, 2.0);
         assert_eq!(state.position(t), Some(SitePoint::new(11, 0)));
         assert_eq!(state.position(a), Some(SitePoint::new(9, 0)));

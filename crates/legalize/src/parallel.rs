@@ -18,7 +18,8 @@
 //!
 //! Workers legalize each stripe against a snapshot of the master placement
 //! plus the validated diffs of its even neighbours, and report a per-stripe
-//! *diff* (cells placed or shifted). This preserves the wave semantics
+//! *diff* (cells placed or shifted) read from a savepoint the worker opens
+//! on its snapshot for the stripe. This preserves the wave semantics
 //! exactly: a stripe's computation only reads placement state inside its
 //! halo, validated non-neighbour diffs are halo-disjoint and therefore
 //! unobservable, and a discarded (conflicting) neighbour diff is invisible
@@ -36,16 +37,14 @@
 //! only for the `Shuffled` cell order and the sequential retry loop, both
 //! of which are independent of the thread count.
 
-use crate::legalizer::{LegalizeError, LegalizeStats, Legalizer};
-use crate::mll::mll_transacted_traced;
+use crate::legalizer::{LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
 use crate::scratch::ScratchArena;
-use crate::timing::PhaseTimes;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
-use mrl_trace::{FailCounts, FailReason, NoopSink, RingSink, Sink, TraceBuf};
+use mrl_trace::{FailReason, LaneSink, Sink};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One cell's placement change within a stripe.
@@ -66,18 +65,15 @@ struct StripeResult<S> {
     /// Cells the first-pass attempt could not place, in visit order, with
     /// the failure reason of the attempt.
     failed: Vec<(CellId, FailReason)>,
-    direct: usize,
-    via_mll: usize,
-    mll_calls: usize,
-    phases: PhaseTimes,
-    fail_counts: FailCounts,
+    /// The stripe's first-pass counters and phase ledger.
+    stats: LegalizeStats,
     /// The stripe's event sink (one lane per stripe); absorbed into the
-    /// caller's buffer in stripe order at the wave barrier so the merged
-    /// trace is independent of the thread count.
+    /// caller's collector in stripe order at the merge so the merged trace
+    /// is independent of the thread count.
     sink: S,
     /// A database error inside the worker (indicates a bug); the stripe's
     /// diff is discarded and the error propagated at the merge.
-    error: Option<DbError>,
+    error: Option<LegalizeError>,
     /// Set at the merge when the diff escaped the stripe halo.
     conflicted: bool,
 }
@@ -87,11 +83,7 @@ impl<S> StripeResult<S> {
         StripeResult {
             diff: Vec::new(),
             failed: Vec::new(),
-            direct: 0,
-            via_mll: 0,
-            mll_calls: 0,
-            phases: PhaseTimes::enabled(),
-            fail_counts: FailCounts::default(),
+            stats: LegalizeStats::default(),
             sink,
             error: None,
             conflicted: false,
@@ -133,67 +125,47 @@ impl Legalizer {
         state: &mut PlacementState,
         threads: usize,
     ) -> Result<LegalizeStats, LegalizeError> {
-        let (stats, result) =
-            self.parallel_impl(design, state, threads, &|_| NoopSink, &mut |_| {});
-        result.map(|()| stats)
+        let mut ctx = LegalizeCtx::new();
+        self.legalize_parallel_with(design, state, threads, &mut ctx)
+            .map(|()| ctx.stats)
     }
 
-    /// [`legalize_parallel`](Legalizer::legalize_parallel) with structured
-    /// events collected into `buf`.
+    /// [`legalize_parallel`](Legalizer::legalize_parallel) in a
+    /// caller-owned context whose sink collects one lane per stripe.
     ///
-    /// Each stripe writes into its own lane (`stripe index + 1`); the
+    /// Each stripe records into its own lane (`stripe index + 1`); the
     /// driver — first-pass bookkeeping and the sequential retry loop —
-    /// writes into lane 0. Per-stripe sinks are absorbed into `buf` in
-    /// stripe order at each wave barrier, so the event sequence (and every
-    /// derived counter or histogram) is identical for any thread count;
-    /// only timestamps vary. Stats are returned alongside the outcome so
-    /// diagnostics survive a failed run.
-    pub fn legalize_parallel_traced(
+    /// records into lane 0. Lanes are absorbed into `ctx.sink` in stripe
+    /// order, so the event sequence (and every derived counter or
+    /// histogram) is identical for any thread count; only timestamps vary.
+    /// The run's statistics land in `ctx.stats` whether or not it
+    /// succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`legalize`](Legalizer::legalize).
+    pub fn legalize_parallel_with<S>(
         &self,
         design: &Design,
         state: &mut PlacementState,
         threads: usize,
-        buf: &mut TraceBuf,
-    ) -> (LegalizeStats, Result<(), LegalizeError>) {
-        let epoch = buf.epoch();
-        let cap = buf.lane_capacity();
-        self.parallel_impl(
-            design,
-            state,
-            threads,
-            &move |lane| RingSink::new(lane, cap, epoch),
-            &mut |sink| buf.absorb(sink),
-        )
-    }
-
-    /// Shared driver body, generic over the sink. `make_sink` is invoked
-    /// with the lane number (stripe index + 1 for workers, 0 for the
-    /// driver); `collect` receives every kept sink in deterministic order.
-    fn parallel_impl<S, F>(
-        &self,
-        design: &Design,
-        state: &mut PlacementState,
-        threads: usize,
-        make_sink: &F,
-        collect: &mut dyn FnMut(S),
-    ) -> (LegalizeStats, Result<(), LegalizeError>)
+        ctx: &mut LegalizeCtx<S>,
+    ) -> Result<(), LegalizeError>
     where
-        S: Sink + Send,
-        F: Fn(u32) -> S + Sync,
+        S: LaneSink + Sync,
     {
         let wall = std::time::Instant::now();
         let threads = threads.max(1);
         let cfg = self.config();
-        let mut stats = LegalizeStats {
-            phases: PhaseTimes::enabled(),
+        ctx.stats = LegalizeStats {
             threads,
             ..LegalizeStats::default()
         };
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let unplaced = self.ordered_unplaced(design, state, &mut rng);
         if unplaced.is_empty() {
-            stats.wall = wall.elapsed();
-            return (stats, Ok(()));
+            ctx.stats.wall = wall.elapsed();
+            return Ok(());
         }
 
         // Stripe geometry. `wmax` ranges over all movable cells: any of
@@ -216,10 +188,10 @@ impl Legalizer {
             let idx = (((pos.x - bounds.x) / stripe_w).max(0) as usize).min(nstripes - 1);
             stripes[idx].push(cell);
         }
-        stats.stripes = stripes.iter().filter(|s| !s.is_empty()).count();
+        ctx.stats.stripes = stripes.iter().filter(|s| !s.is_empty()).count();
 
         let active: Vec<bool> = stripes.iter().map(|s| !s.is_empty()).collect();
-        let total = stats.stripes;
+        let total = ctx.stats.stripes;
         let halo_of = |i: usize| {
             let x0 = bounds.x + i as i32 * stripe_w;
             (x0 - cfg.rx - wmax, x0 + stripe_w + cfg.rx + wmax)
@@ -236,7 +208,7 @@ impl Legalizer {
                 .filter(|&j| j < nstripes && active[j])
                 .collect::<Vec<usize>>()
         };
-        let mut sched = Sched::<S> {
+        let mut sched = Sched::<S::Lane> {
             ready: VecDeque::new(),
             unclaimed: total,
             deps_left: vec![0; nstripes],
@@ -260,6 +232,7 @@ impl Legalizer {
         let cv = Condvar::new();
         let workers = threads.min(total);
         let master: &PlacementState = state;
+        let lanes = &ctx.sink;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
@@ -323,21 +296,16 @@ impl Legalizer {
                             has.push(*j);
                         }
                         has.push(t);
+                        let lane = lanes.lane(t as u32 + 1);
                         let mut res = if let Some(e) = prep_error {
                             // Applying a validated diff can only fail on an
                             // internal inconsistency; report it via the
                             // stripe result like any worker error.
-                            let mut r = StripeResult::empty(make_sink(t as u32 + 1));
-                            r.error = Some(e);
+                            let mut r = StripeResult::empty(lane);
+                            r.error = Some(e.into());
                             r
                         } else {
-                            self.run_stripe(
-                                design,
-                                lstate,
-                                &stripes[t],
-                                &mut arena,
-                                make_sink(t as u32 + 1),
-                            )
+                            self.run_stripe(design, lstate, &stripes[t], &mut arena, lane)
                         };
                         // Resolve: even stripes validate eagerly so their
                         // dependants can start; the merge reuses this
@@ -374,8 +342,8 @@ impl Legalizer {
             for t in (0..nstripes).filter(|&i| i % 2 == parity && active[i]) {
                 let mut res = results[t].take().expect("stripe ran");
                 if let Some(e) = res.error {
-                    stats.wall = wall.elapsed();
-                    return (stats, Err(e.into()));
+                    ctx.stats.wall = wall.elapsed();
+                    return Err(e);
                 }
                 if parity == 0 {
                     // Reuse the eager validation verdict.
@@ -399,7 +367,7 @@ impl Legalizer {
                     // sequentially. The reason is a placeholder: it only
                     // surfaces if the retry budget is zero, and the retry
                     // loop refreshes it on every real attempt.
-                    stats.conflicts += 1;
+                    ctx.stats.conflicts += 1;
                     residue.extend(
                         stripes[t]
                             .iter()
@@ -408,39 +376,40 @@ impl Legalizer {
                     continue;
                 }
                 if let Err(e) = self.apply_diff(design, state, &res.diff) {
-                    stats.wall = wall.elapsed();
-                    return (stats, Err(e.into()));
+                    ctx.stats.wall = wall.elapsed();
+                    return Err(e.into());
                 }
-                stats.placed += res.diff.iter().filter(|d| d.old.is_none()).count();
-                stats.direct += res.direct;
-                stats.via_mll += res.via_mll;
-                stats.mll_calls += res.mll_calls;
-                stats.phases.merge(&res.phases);
-                stats.fail_counts.merge(&res.fail_counts);
+                let (stats, part) = (&mut ctx.stats, &res.stats);
+                stats.placed += part.placed;
+                stats.direct += part.direct;
+                stats.via_mll += part.via_mll;
+                stats.mll_calls += part.mll_calls;
+                stats.phases.merge(&part.phases);
+                stats.fail_counts.merge(&part.fail_counts);
                 residue.extend_from_slice(&res.failed);
-                collect(res.sink);
+                ctx.sink.absorb(res.sink);
             }
         }
 
-        stats.residue = residue.len();
-        let mut arena = ScratchArena::new();
-        let mut driver_sink = make_sink(0);
-        let result = self.retry_loop(
-            design,
-            state,
-            residue,
-            &mut stats,
-            &mut rng,
-            &mut arena,
-            &mut driver_sink,
-        );
-        collect(driver_sink);
-        stats.wall = wall.elapsed();
-        (stats, result)
+        // The residue pass runs sequentially on the caller's arena, with
+        // the driver's events in lane 0.
+        ctx.stats.residue = residue.len();
+        let mut driver = LegalizeCtx {
+            arena: std::mem::take(&mut ctx.arena),
+            stats: ctx.stats,
+            sink: ctx.sink.lane(0),
+        };
+        let result = self.retry_loop(design, state, residue, &mut rng, &mut driver);
+        ctx.arena = driver.arena;
+        ctx.stats = driver.stats;
+        ctx.sink.absorb(driver.sink);
+        ctx.stats.wall = wall.elapsed();
+        result
     }
 
     /// First-pass legalization of one stripe's cells against `local`,
-    /// collecting the placement diff instead of touching the master.
+    /// collecting the placement diff instead of touching the master: the
+    /// cells a savepoint on `local` journaled, with their final positions.
     fn run_stripe<S: Sink>(
         &self,
         design: &Design,
@@ -449,103 +418,55 @@ impl Legalizer {
         arena: &mut ScratchArena,
         sink: S,
     ) -> StripeResult<S> {
-        let cfg = self.config();
-        let mut res = StripeResult::empty(sink);
+        let mut ctx = LegalizeCtx {
+            arena: std::mem::take(arena),
+            stats: LegalizeStats::default(),
+            sink,
+        };
         if S::ENABLED {
-            res.sink.counter("stripe.cells", cells.len() as u64);
+            ctx.sink.counter("stripe.cells", cells.len() as u64);
         }
-        // cell -> index into res.diff; keeps the *first* old position when
-        // a cell is touched repeatedly within the stripe.
-        let mut touched: HashMap<CellId, usize> = HashMap::new();
-        let mut record =
-            |diff: &mut Vec<DiffEntry>, cell: CellId, old: Option<SitePoint>, new| match touched
-                .entry(cell)
-            {
-                std::collections::hash_map::Entry::Occupied(e) => diff[*e.get()].new = new,
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(diff.len());
-                    diff.push(DiffEntry { cell, old, new });
-                }
-            };
+        let mut failed = Vec::new();
+        let mut error = None;
+        let sp = local.savepoint();
         for &cell in cells {
-            let (fx, fy) = design.input_position(cell);
-            let pos = self.snap(design, cell, fx, fy);
-            let direct = if cfg.rail_mode.is_aligned() {
-                local.place(design, cell, pos)
-            } else {
-                local.place_ignoring_rails(design, cell, pos)
-            };
-            match direct {
-                Ok(()) => {
-                    res.direct += 1;
-                    if S::ENABLED {
-                        let c = design.cell(cell);
-                        res.sink.attempt(mrl_trace::AttemptRecord {
-                            cell: cell.index() as u32,
-                            height: c.height() as u8,
-                            retry_round: 0,
-                            window: [
-                                pos.x - cfg.rx,
-                                pos.y - cfg.ry,
-                                2 * cfg.rx + c.width(),
-                                2 * cfg.ry + c.height(),
-                            ],
-                            region_cells: 0,
-                            combos_generated: 0,
-                            combos_pruned: 0,
-                            combos_evaluated: 0,
-                            outcome: mrl_trace::AttemptOutcome::Direct { x: pos.x, y: pos.y },
-                        });
-                    }
-                    record(&mut res.diff, cell, None, pos);
-                }
-                Err(DbError::AlreadyPlaced(c)) => {
-                    res.error = Some(DbError::AlreadyPlaced(c));
-                    return res;
-                }
-                Err(_) => {
-                    res.mll_calls += 1;
-                    match mll_transacted_traced(
-                        design,
-                        local,
-                        cfg,
-                        cell,
-                        pos,
-                        &mut res.phases,
-                        arena,
-                        &mut res.sink,
-                        0,
-                    ) {
-                        Ok(Ok(tx)) => {
-                            res.via_mll += 1;
-                            for &(moved, old_x) in &tx.undo_moves {
-                                let now = local.position(moved).expect("shifted cell is placed");
-                                record(
-                                    &mut res.diff,
-                                    moved,
-                                    Some(SitePoint::new(old_x, now.y)),
-                                    now,
-                                );
-                            }
-                            record(&mut res.diff, cell, None, tx.placed_at);
-                        }
-                        Ok(Err(reason)) => {
-                            res.fail_counts.record(reason);
-                            res.failed.push((cell, reason));
-                        }
-                        Err(e) => {
-                            res.error = Some(e);
-                            return res;
-                        }
-                    }
+            match self.try_place(
+                design,
+                local,
+                cell,
+                design.input_position(cell),
+                &mut ctx,
+                0,
+            ) {
+                Ok(None) => {}
+                Ok(Some(reason)) => failed.push((cell, reason)),
+                Err(e) => {
+                    error = Some(e);
+                    break;
                 }
             }
         }
         // Drop no-op entries (a neighbour shifted away and back) and make
         // the order canonical for the halo check and master apply.
-        res.diff.retain(|d| d.old != Some(d.new));
-        res.diff.sort_by_key(|d| d.cell);
-        res
+        let mut diff: Vec<DiffEntry> = local
+            .journal(&sp)
+            .iter()
+            .filter_map(|&(cell, old)| {
+                let new = local.position(cell)?;
+                (old != Some(new)).then_some(DiffEntry { cell, old, new })
+            })
+            .collect();
+        diff.sort_by_key(|d| d.cell);
+        local.release(sp);
+        *arena = ctx.arena;
+        StripeResult {
+            diff,
+            failed,
+            stats: ctx.stats,
+            sink: ctx.sink,
+            error,
+            conflicted: false,
+        }
     }
 
     /// Applies one validated stripe diff to the master state: neighbour
@@ -689,7 +610,7 @@ mod tests {
         let stats = lg.legalize_parallel(&design, &mut state, 4).unwrap();
         assert_eq!(stats.placed, 50);
         assert_eq!(state.num_placed(), 50);
-        assert!(stats.phases.is_enabled());
+        assert!(stats.phases.extract_calls > 0);
         assert!(stats.wall.as_nanos() > 0);
     }
 }

@@ -23,17 +23,18 @@
 //! * Free space per row comes from the occupancy index through
 //!   [`PlacementState::free_gaps_in`] — two binary searches returning only
 //!   the gaps intersecting the window, O(log n + window) instead of a
-//!   linear scan of the segment's whole gap list. The linear path is kept
-//!   behind `use_index = false` as a test oracle and for `--no-spatial-index`
-//!   measurement.
+//!   linear scan of the segment's whole gap list. That query is checked
+//!   against the linear scan by the `windowed_gap_query_matches_linear_scan`
+//!   property test.
 //! * Local cells are stored in a struct-of-arrays layout ([`LocalCells`]):
 //!   the enumeration/evaluation kernels touch `x`/`w` (or `y`/`h`) in tight
 //!   loops, and separate arrays keep those loops on dense cache lines. The
 //!   per-row list positions live in one flattened pool instead of a `Vec`
 //!   per cell, eliminating the per-cell allocations of the old layout.
 //! * All transient extraction state lives in an [`ExtractScratch`] owned by
-//!   the caller's `ScratchArena`, and the region itself is reused across
-//!   MLL calls (`extract_masked_into` clears, never shrinks).
+//!   the `ScratchArena` of the caller's `LegalizeCtx`, and the region
+//!   itself is reused across MLL calls (`extract_masked_into` clears, never
+//!   shrinks).
 
 use mrl_db::{CellId, Design, PlacementState, RegionId, SegId};
 use mrl_geom::SiteRect;
@@ -184,31 +185,9 @@ impl LocalRegion {
         window: SiteRect,
         target_region: Option<RegionId>,
     ) -> LocalRegion {
-        Self::extract_with_options(design, state, window, target_region, true)
-    }
-
-    /// [`LocalRegion::extract_masked`] with an explicit choice of free-gap
-    /// query: `use_index = true` uses the windowed occupancy-index query
-    /// ([`PlacementState::free_gaps_in`]), `false` the linear scan over the
-    /// full gap list — kept as the oracle the spatial index is validated
-    /// against (results are always identical).
-    pub fn extract_with_options(
-        design: &Design,
-        state: &PlacementState,
-        window: SiteRect,
-        target_region: Option<RegionId>,
-        use_index: bool,
-    ) -> LocalRegion {
         let mut region = LocalRegion::default();
         let mut scratch = ExtractScratch::default();
-        region.extract_masked_into(
-            &mut scratch,
-            design,
-            state,
-            window,
-            target_region,
-            use_index,
-        );
+        region.extract_masked_into(&mut scratch, design, state, window, target_region);
         region
     }
 
@@ -222,7 +201,6 @@ impl LocalRegion {
         state: &PlacementState,
         window: SiteRect,
         target_region: Option<RegionId>,
-        use_index: bool,
     ) {
         self.rows.clear();
         self.cells.clear();
@@ -252,7 +230,7 @@ impl LocalRegion {
                     continue;
                 }
                 let seg_id = SegId::from_usize(base + idx);
-                for &cell in state.cells_intersecting(design, seg_id, x0, x1) {
+                for &cell in state.cells_intersecting(seg_id, x0, x1) {
                     let rect = state.rect_of(design, cell).expect("listed cell placed");
                     // A multi-row cell is listed on every row it spans;
                     // count it only on the first scanned row so the set
@@ -287,17 +265,14 @@ impl LocalRegion {
                     // Frozen cells are exactly the placed cells in neither
                     // set, so the merged union is bounded by them — no
                     // rescan of `seg_cells` needed.
-                    let gaps = if use_index {
-                        state.free_gaps_in(seg_id, sx0, sx1)
-                    } else {
-                        state.free_gaps(seg_id)
-                    };
                     let free = &mut scratch.free;
                     free.clear();
-                    free.extend(gaps.iter().filter_map(|&(g0, g1)| {
-                        let (a, b) = (g0.max(sx0), g1.min(sx1));
-                        (a < b).then_some((a, b))
-                    }));
+                    free.extend(state.free_gaps_in(seg_id, sx0, sx1).iter().filter_map(
+                        |&(g0, g1)| {
+                            let (a, b) = (g0.max(sx0), g1.min(sx1));
+                            (a < b).then_some((a, b))
+                        },
+                    ));
                     for &(_, rect) in inside.iter() {
                         if rect.y <= row && row < rect.top() {
                             let (a, b) = (rect.x.max(sx0), rect.right().min(sx1));
@@ -745,31 +720,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_extraction_agree() {
-        let (design, state, _) = placed_design(
-            3,
-            40,
-            &[
-                (4, 3, 8, 0),
-                (2, 2, 14, 0),
-                (2, 1, 3, 1),
-                (3, 1, 20, 2),
-                (2, 1, 30, 0),
-            ],
-        );
-        for window in [
-            SiteRect::new(0, 0, 20, 2),
-            SiteRect::new(5, 0, 18, 3),
-            SiteRect::new(12, 1, 25, 2),
-            SiteRect::new(-4, -1, 50, 6),
-        ] {
-            let fast = LocalRegion::extract_with_options(&design, &state, window, None, true);
-            let slow = LocalRegion::extract_with_options(&design, &state, window, None, false);
-            assert_eq!(fast, slow, "window {window:?}");
-        }
-    }
-
-    #[test]
     fn region_reuse_matches_fresh_extraction() {
         let (design, state, _) = placed_design(
             2,
@@ -784,7 +734,7 @@ mod tests {
             SiteRect::new(0, 0, 30, 2),
             SiteRect::new(25, 1, 4, 1),
         ] {
-            region.extract_masked_into(&mut scratch, &design, &state, window, None, true);
+            region.extract_masked_into(&mut scratch, &design, &state, window, None);
             let fresh = LocalRegion::extract(&design, &state, window);
             assert_eq!(region, fresh, "window {window:?}");
         }

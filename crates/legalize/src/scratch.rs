@@ -11,15 +11,18 @@
 //!
 //! Ownership rules (also documented in DESIGN.md §6):
 //!
-//! * One arena per thread. The sequential driver owns one for its whole
-//!   run; each parallel-stripe worker owns one for the stripes it claims;
-//!   the retry loop reuses the driver's arena. Arenas are never shared.
+//! * An arena lives in a [`crate::LegalizeCtx`], one per thread, next to
+//!   the run's statistics and trace sink; every MLL-level operation takes
+//!   that context. The sequential driver uses the caller's for its whole
+//!   run, retry loop included; each parallel-stripe worker keeps one arena
+//!   for the stripes it claims; the ECO session keeps one across batches.
+//!   Arenas are never shared.
+//! * Only `Legalizer::legalize` and `Legalizer::legalize_parallel` build a
+//!   context of their own; every other caller passes one in, so there is
+//!   no per-call convenience wrapper that starts from a cold arena.
 //! * The arena carries no results: every buffer is dead between kernel
 //!   calls and is cleared (not shrunk) on entry. Callers must not read an
 //!   arena after the call that filled it returns.
-//! * Convenience entry points (`mll`, `find_best_insertion_point`, …)
-//!   construct a fresh arena internally; only the drivers thread a
-//!   long-lived one through [`crate::mll::mll_transacted_in`].
 
 use crate::interval::InsInterval;
 use crate::region::{ExtractScratch, LocalRegion};

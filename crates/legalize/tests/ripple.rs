@@ -6,9 +6,7 @@
 
 use mrl_db::{CellId, Design, PlacementState, SegId};
 use mrl_geom::SitePoint;
-use mrl_legalize::{
-    EscalationConfig, LegalizeStats, Legalizer, LegalizerConfig, NoopSink, ScratchArena,
-};
+use mrl_legalize::{EscalationConfig, LegalizeCtx, Legalizer, LegalizerConfig};
 use mrl_metrics::{check_legal, RailCheck};
 use mrl_synth::{generate_witness, WitnessConfig};
 use proptest::prelude::*;
@@ -107,13 +105,12 @@ proptest! {
         let before = snapshot(&design, &state);
         let before_pos: Vec<Option<SitePoint>> = before.positions.clone();
         let lg = Legalizer::new(ripple_only(max_disp));
-        let mut stats = LegalizeStats::default();
-        let mut arena = ScratchArena::new();
+        let mut ctx = LegalizeCtx::new();
         let placed = lg
-            .escalate_cell(
-                &design, &mut state, target, &mut stats, &mut arena, &mut NoopSink, 1,
-            )
+            .escalate_cell(&design, &mut state, target, &mut ctx, 1)
             .expect("no db errors");
+        let stats = ctx.stats;
+        prop_assert_eq!(state.open_savepoints(), 0);
         prop_assert_eq!(placed, state.is_placed(target));
         if placed {
             // Legality by the independent checker (shares no bookkeeping
@@ -161,12 +158,8 @@ proptest! {
         let (design, mut state, target) = dense_case(seed, cells);
         let before = snapshot(&design, &state);
         let lg = Legalizer::new(ripple_only(0));
-        let mut stats = LegalizeStats::default();
-        let mut arena = ScratchArena::new();
         let placed = lg
-            .escalate_cell(
-                &design, &mut state, target, &mut stats, &mut arena, &mut NoopSink, 1,
-            )
+            .escalate_cell(&design, &mut state, target, &mut LegalizeCtx::new(), 1)
             .expect("no db errors");
         if !placed {
             let after = snapshot(&design, &state);

@@ -30,7 +30,7 @@
 //! JSON) and [`MetricsSummary`] (log2-bucket histograms + counters as
 //! JSON). [`PhaseTimes`] — the aggregate per-phase wall-clock view that
 //! predates this crate — lives here too and stays the cheap always-available
-//! summary; `mrl_legalize::timing` re-exports it for compatibility.
+//! summary; `mrl_legalize` re-exports it at its crate root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,4 +44,4 @@ mod sink;
 pub use metrics::{Hist, MetricsSummary};
 pub use phase::{Phase, PhaseTimes};
 pub use record::{AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason};
-pub use sink::{NoopSink, RingSink, Sink, TraceBuf, TraceEvent};
+pub use sink::{LaneSink, NoopSink, RingSink, Sink, TraceBuf, TraceEvent};

@@ -1,12 +1,9 @@
 //! Per-phase wall-clock accounting for the MLL pipeline.
 //!
 //! A [`PhaseTimes`] accumulates call counts and wall-clock time for the
-//! five pipeline phases (extract / enumerate / evaluate / realize / retry).
-//! Timing is opt-in: a default-constructed `PhaseTimes` is *disabled* and
-//! every probe collapses to a no-op, so library entry points that do not
-//! care about observability (`mll()`, tests) pay nothing. The drivers
-//! (`Legalizer::legalize` and the parallel driver) enable it and surface
-//! the totals through `LegalizeStats`.
+//! pipeline phases (extract / enumerate / evaluate / realize / retry /
+//! escalate). It always records: every legalizer entry point carries one
+//! inside the run's `LegalizeStats`, and a probe costs two clock reads.
 //!
 //! Phase nesting: `evaluate` time is spent *inside* `enumerate` (candidate
 //! scoring during the scanline), and `retry` is the wall time of the whole
@@ -62,13 +59,9 @@ impl Phase {
 
 /// Wall-clock time and call counts per pipeline phase.
 ///
-/// Disabled by default (`PhaseTimes::default()`); construct with
-/// [`PhaseTimes::enabled`] to record. Probes are `start()`/`stop(phase)`
-/// pairs; when disabled, `start` returns `None` and `stop` is a no-op, so
-/// the only cost on the hot path is one branch.
+/// Probes are `start()`/`stop(phase, probe)` pairs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    enabled: bool,
     /// Time extracting local regions.
     pub extract: Duration,
     /// Number of region extractions.
@@ -94,11 +87,6 @@ pub struct PhaseTimes {
     /// Escalation pipeline invocations (one per escalated target cell).
     pub escalate_calls: u64,
     /// Valid insertion-point combinations the scanline generated.
-    ///
-    /// Unlike the wall-clock fields, the three combo counters record even
-    /// when the accumulator is disabled: they cost one integer add each and
-    /// the pruning property ("never evaluate more combos than the
-    /// exhaustive path emits") must be observable without timing overhead.
     pub combos_generated: u64,
     /// Combinations discarded by the branch-and-bound lower bound before
     /// any exact scoring ran.
@@ -108,35 +96,17 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// A recording accumulator.
-    pub fn enabled() -> Self {
-        PhaseTimes {
-            enabled: true,
-            ..PhaseTimes::default()
-        }
-    }
-
-    /// Whether probes record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts a probe. Returns `None` (free) when disabled.
+    /// Starts a probe.
     #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
+    pub fn start(&self) -> Instant {
+        Instant::now()
     }
 
     /// Ends a probe started by [`PhaseTimes::start`], attributing the
     /// elapsed time to `phase` and bumping its call count.
     #[inline]
-    pub fn stop(&mut self, phase: Phase, probe: Option<Instant>) {
-        let Some(t0) = probe else { return };
-        let dt = t0.elapsed();
+    pub fn stop(&mut self, phase: Phase, probe: Instant) {
+        let dt = probe.elapsed();
         match phase {
             Phase::Extract => {
                 self.extract += dt;
@@ -166,12 +136,11 @@ impl PhaseTimes {
     }
 
     /// Folds another accumulator into this one (used to merge per-worker
-    /// timings in the parallel driver). The result is enabled if either
-    /// side was. Merging is associative and commutative (every field is an
-    /// independent sum / boolean-or), which is what makes the parallel
-    /// driver's stripe-order merge equivalent to any other order.
+    /// timings in the parallel driver). Merging is associative and
+    /// commutative (every field is an independent sum), which is what
+    /// makes the parallel driver's stripe-order merge equivalent to any
+    /// other order.
     pub fn merge(&mut self, other: &PhaseTimes) {
-        self.enabled |= other.enabled;
         self.extract += other.extract;
         self.extract_calls += other.extract_calls;
         self.enumerate += other.enumerate;
@@ -226,19 +195,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_probes_record_nothing() {
+    fn probes_accumulate() {
         let mut t = PhaseTimes::default();
         let probe = t.start();
-        assert!(probe.is_none());
-        t.stop(Phase::Extract, probe);
-        assert_eq!(t, PhaseTimes::default());
-    }
-
-    #[test]
-    fn enabled_probes_accumulate() {
-        let mut t = PhaseTimes::enabled();
-        let probe = t.start();
-        assert!(probe.is_some());
         t.stop(Phase::Enumerate, probe);
         assert_eq!(t.enumerate_calls, 1);
         let probe = t.start();
@@ -248,36 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn combo_counters_record_even_when_disabled() {
+    fn merge_sums_counts() {
         let mut t = PhaseTimes::default();
-        assert!(!t.is_enabled());
         t.combos_generated += 3;
         t.combos_pruned += 2;
         t.combos_evaluated += 1;
+        let probe = t.start();
+        t.stop(Phase::Realize, probe);
         let mut sum = PhaseTimes::default();
         sum.merge(&t);
         sum.merge(&t);
         assert_eq!(sum.combos_generated, 6);
         assert_eq!(sum.combos_pruned, 4);
         assert_eq!(sum.combos_evaluated, 2);
-        assert!(!sum.is_enabled());
-    }
-
-    #[test]
-    fn merge_sums_counts_and_enables() {
-        let mut a = PhaseTimes::default();
-        let mut b = PhaseTimes::enabled();
-        let probe = b.start();
-        b.stop(Phase::Realize, probe);
-        a.merge(&b);
-        assert!(a.is_enabled());
-        assert_eq!(a.realize_calls, 1);
-        assert!(a.pipeline_total() >= a.realize);
+        assert_eq!(sum.realize_calls, 2);
+        assert!(sum.pipeline_total() >= sum.realize);
     }
 
     #[test]
     fn phase_accessors_cover_all_phases() {
-        let mut t = PhaseTimes::enabled();
+        let mut t = PhaseTimes::default();
         for phase in Phase::ALL {
             let probe = t.start();
             t.stop(phase, probe);
@@ -285,7 +234,7 @@ mod tests {
         for phase in Phase::ALL {
             assert_eq!(t.calls_of(phase), 1, "{}", phase.name());
         }
-        let mut by_field = PhaseTimes {
+        let by_field = PhaseTimes {
             extract: Duration::from_nanos(1),
             enumerate: Duration::from_nanos(2),
             evaluate: Duration::from_nanos(3),
@@ -294,7 +243,6 @@ mod tests {
             escalate: Duration::from_nanos(6),
             ..PhaseTimes::default()
         };
-        by_field.enabled = true;
         for (i, phase) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(
                 by_field.time_of(phase),

@@ -277,6 +277,41 @@ impl TraceBuf {
     }
 }
 
+/// A collector the parallel driver fans out into one sink per lane and
+/// merges back in a deterministic lane order.
+pub trait LaneSink {
+    /// The sink one lane (one stripe, or the driver's lane 0) records into.
+    type Lane: Sink + Send;
+
+    /// A fresh sink for `lane`.
+    fn lane(&self, lane: u32) -> Self::Lane;
+
+    /// Appends a finished lane. Call in a deterministic lane order.
+    fn absorb(&mut self, lane: Self::Lane);
+}
+
+impl LaneSink for NoopSink {
+    type Lane = NoopSink;
+
+    fn lane(&self, _lane: u32) -> NoopSink {
+        NoopSink
+    }
+
+    fn absorb(&mut self, _lane: NoopSink) {}
+}
+
+impl LaneSink for TraceBuf {
+    type Lane = RingSink;
+
+    fn lane(&self, lane: u32) -> RingSink {
+        TraceBuf::lane(self, lane)
+    }
+
+    fn absorb(&mut self, lane: RingSink) {
+        TraceBuf::absorb(self, lane);
+    }
+}
+
 impl Default for TraceBuf {
     fn default() -> Self {
         TraceBuf::new(TraceBuf::DEFAULT_LANE_CAPACITY)

@@ -132,25 +132,23 @@ fn phase_times_from_seed(seed: u64) -> PhaseTimes {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     };
-    let mut t = if next() & 1 == 0 {
-        PhaseTimes::enabled()
-    } else {
-        PhaseTimes::default()
-    };
-    t.extract = Duration::from_nanos(next() as u32 as u64);
-    t.enumerate = Duration::from_nanos(next() as u32 as u64);
-    t.evaluate = Duration::from_nanos(next() as u32 as u64);
-    t.realize = Duration::from_nanos(next() as u32 as u64);
-    t.retry = Duration::from_nanos(next() as u32 as u64);
-    t.extract_calls = next() as u32 as u64;
-    t.enumerate_calls = next() as u32 as u64;
-    t.evaluate_calls = next() as u32 as u64;
-    t.realize_calls = next() as u32 as u64;
-    t.retry_rounds = next() as u32 as u64;
-    t.combos_generated = next() as u32 as u64;
-    t.combos_pruned = next() as u32 as u64;
-    t.combos_evaluated = next() as u32 as u64;
-    t
+    let mut n = move || next() as u32 as u64;
+    PhaseTimes {
+        extract: Duration::from_nanos(n()),
+        enumerate: Duration::from_nanos(n()),
+        evaluate: Duration::from_nanos(n()),
+        realize: Duration::from_nanos(n()),
+        retry: Duration::from_nanos(n()),
+        extract_calls: n(),
+        enumerate_calls: n(),
+        evaluate_calls: n(),
+        realize_calls: n(),
+        retry_rounds: n(),
+        combos_generated: n(),
+        combos_pruned: n(),
+        combos_evaluated: n(),
+        ..PhaseTimes::default()
+    }
 }
 
 proptest! {

@@ -10,13 +10,14 @@
 //!   reference enumerator,
 //! * the exact evaluator's cost equals the realized displacement,
 //! * exact-mode MLL equals the MILP local optimum,
-//! * leftmost/rightmost placements bound every legal same-order position.
+//! * leftmost/rightmost placements bound every legal same-order position,
+//! * nested journal savepoints roll back exactly and fold like a flat log.
 
-use mrl_db::{CellId, Design, DesignBuilder, IndexLayout, PlacementState, SegId};
+use mrl_db::{CellId, Design, DesignBuilder, PlacementState, Savepoint, SegId};
 use mrl_geom::{Interval, PowerRail, SitePoint, SiteRect};
 use mrl_legalize::{
-    enumerate_insertion_points, find_best_insertion_point_in, realize, EvalMode, Legalizer,
-    LegalizerConfig, LocalRegion, MllOutcome, PhaseTimes, PowerRailMode, ScratchArena, TargetSpec,
+    enumerate_insertion_points, find_best_insertion_point, mll, realize, EvalMode, LegalizeCtx,
+    Legalizer, LegalizerConfig, LocalRegion, PowerRailMode, TargetSpec,
 };
 use mrl_metrics::{check_legal, RailCheck};
 use proptest::prelude::*;
@@ -59,6 +60,20 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// The deterministic scatter LCG of the placement workloads below.
+struct Lcg(u64);
+
+impl Lcg {
+    /// The next value in `0..n` (`0..1` for `n = 0`).
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (self.0 >> 33) % n.max(1)
+    }
+}
+
 /// Builds the design and places the pre-placed cells greedily with a
 /// deterministic pseudo-random scatter; returns None when the instance is
 /// degenerate (e.g. nothing fits).
@@ -79,18 +94,12 @@ fn build(s: &Scenario) -> Option<(Design, PlacementState, CellId)> {
     let design = b.finish().ok()?;
     let mut state = PlacementState::new(&design);
     // Scatter deterministically: try pseudo-random spots, skip failures.
-    let mut rng_state = s.seed | 1;
-    let mut next = || {
-        rng_state = rng_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        rng_state >> 33
-    };
+    let mut rng = Lcg(s.seed | 1);
     for &id in &ids {
         let c = design.cell(id);
         for _ in 0..30 {
-            let x = (next() % (s.width.max(1) as u64)) as i32;
-            let y = (next() % (s.rows as u64)) as i32;
+            let x = rng.below(s.width as u64) as i32;
+            let y = rng.below(s.rows as u64) as i32;
             let pos = SitePoint::new(x.min(s.width - c.width()), y.min(s.rows - c.height()));
             if state.place_ignoring_rails(&design, id, pos).is_ok() {
                 break;
@@ -323,26 +332,23 @@ proptest! {
             let base = LegalizerConfig::default()
                 .with_rail_mode(PowerRailMode::Relaxed)
                 .with_eval_mode(eval_mode);
-            let mut full_times = PhaseTimes::default();
-            let mut full_arena = ScratchArena::new();
-            let full = find_best_insertion_point_in(
+            let mut full_ctx = LegalizeCtx::new();
+            let full = find_best_insertion_point(
                 &region,
                 &design,
                 &spec,
                 &base.clone().with_prune(false),
-                &mut full_times,
-                &mut full_arena,
+                &mut full_ctx,
             );
-            let mut pruned_times = PhaseTimes::default();
-            let mut pruned_arena = ScratchArena::new();
-            let pruned = find_best_insertion_point_in(
+            let mut pruned_ctx = LegalizeCtx::new();
+            let pruned = find_best_insertion_point(
                 &region,
                 &design,
                 &spec,
                 &base.with_prune(true),
-                &mut pruned_times,
-                &mut pruned_arena,
+                &mut pruned_ctx,
             );
+            let (full_times, pruned_times) = (full_ctx.stats.phases, pruned_ctx.stats.phases);
             prop_assert_eq!(&pruned, &full, "eval_mode={:?}", eval_mode);
             prop_assert_eq!(
                 pruned_times.combos_generated, full_times.combos_generated,
@@ -358,26 +364,6 @@ proptest! {
                 pruned_times.combos_generated,
                 "every generated combo is either pruned or evaluated"
             );
-        }
-    }
-
-    /// The subrow spatial index is invisible: extraction through the
-    /// windowed gap query equals extraction through the linear-scan oracle
-    /// on random occupancy states, for windows of several shapes.
-    #[test]
-    fn spatial_index_extraction_matches_linear_oracle(s in scenario()) {
-        let Some((design, state, _)) = build(&s) else { return Ok(()) };
-        let (tx, ty) = s.target_pos;
-        let windows = [
-            SiteRect::new(0, 0, s.width, s.rows),
-            SiteRect::new(tx - 4, ty - 1, 9, 3),
-            SiteRect::new(tx - 8, ty - 2, 17, 5),
-            SiteRect::new(tx, ty, 3, 1),
-        ];
-        for w in windows {
-            let fast = LocalRegion::extract_with_options(&design, &state, w, None, true);
-            let slow = LocalRegion::extract_with_options(&design, &state, w, None, false);
-            prop_assert_eq!(&fast, &slow, "window {:?}", w);
         }
     }
 
@@ -413,56 +399,36 @@ proptest! {
 
     /// The interleaved occupancy index stays equal to a linear rebuild
     /// from the authoritative `pos[]` record across arbitrary
-    /// place/unplace/shift sequences — and a legacy-layout state driven
-    /// through the identical sequence stays bit-identical to the
-    /// interleaved one (lists, extent keys, and gaps).
+    /// place/unplace/shift sequences (extent keys and gaps).
     #[test]
     fn interleaved_index_matches_pos_rebuild(s in scenario()) {
         let Some((design, mut fast, _)) = build(&s) else { return Ok(()) };
-        // Mirror the scattered placement into a legacy-layout state; final
-        // positions determine the lists, so placement order is irrelevant.
-        let mut slow = PlacementState::with_layout(&design, IndexLayout::Legacy);
-        for (id, p) in fast.iter_placed().collect::<Vec<_>>() {
-            slow.place_ignoring_rails(&design, id, p).expect("mirrors a legal placement");
-        }
         let cells: Vec<CellId> = design.movable_cells().collect();
-        let mut rng_state = s.seed | 1;
-        let mut next = move || {
-            rng_state = rng_state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            rng_state >> 33
-        };
+        let mut rng = Lcg(s.seed | 1);
         for _ in 0..24 {
-            let id = cells[(next() % cells.len() as u64) as usize];
-            match next() % 3 {
+            let id = cells[rng.below(cells.len() as u64) as usize];
+            match rng.below(3) {
                 0 => {
                     if fast.is_placed(id) {
-                        let a = fast.remove(&design, id).expect("placed");
-                        let b = slow.remove(&design, id).expect("placed");
-                        prop_assert_eq!(a, b);
+                        fast.remove(&design, id).expect("placed");
                     }
                 }
                 1 => {
                     if !fast.is_placed(id) {
                         let c = design.cell(id);
-                        let x = (next() % (s.width.max(1) as u64)) as i32;
-                        let y = (next() % (s.rows as u64)) as i32;
+                        let x = rng.below(s.width as u64) as i32;
+                        let y = rng.below(s.rows as u64) as i32;
                         let pos = SitePoint::new(
                             x.min((s.width - c.width()).max(0)),
                             y.min((s.rows - c.height()).max(0)),
                         );
-                        let a = fast.place_ignoring_rails(&design, id, pos);
-                        let b = slow.place_ignoring_rails(&design, id, pos);
-                        prop_assert_eq!(a.is_ok(), b.is_ok(), "place at {:?}", pos);
+                        let _ = fast.place_ignoring_rails(&design, id, pos);
                     }
                 }
                 _ => {
                     if let Some(p) = fast.position(id) {
-                        let new_x = p.x + (next() % 7) as i32 - 3;
-                        let a = fast.shift_batch(&design, &[(id, new_x)]);
-                        let b = slow.shift_batch(&design, &[(id, new_x)]);
-                        prop_assert_eq!(a.is_ok(), b.is_ok(), "shift to {}", new_x);
+                        let new_x = p.x + rng.below(7) as i32 - 3;
+                        let _ = fast.shift_batch(&design, &[(id, new_x)]);
                     }
                 }
             }
@@ -475,12 +441,6 @@ proptest! {
                     fast_rebuild.as_slice(),
                     "fast extents, seg {}", si
                 );
-                let slow_rebuild = slow.recompute_extents(&design, seg);
-                prop_assert_eq!(
-                    slow.segment_extents(seg),
-                    slow_rebuild.as_slice(),
-                    "slow extents, seg {}", si
-                );
                 // Incremental gaps == rebuild from the cell lists.
                 let gap_rebuild = fast.recompute_gaps(&design, seg);
                 prop_assert_eq!(
@@ -488,9 +448,6 @@ proptest! {
                     gap_rebuild.as_slice(),
                     "fast gaps, seg {}", si
                 );
-                // Both layouts agree entry for entry.
-                prop_assert_eq!(fast.segment_cells(seg), slow.segment_cells(seg), "ids, seg {}", si);
-                prop_assert_eq!(fast.free_gaps(seg), slow.free_gaps(seg), "gaps, seg {}", si);
             }
         }
     }
@@ -537,16 +494,17 @@ proptest! {
             s.target_pos.1.min(s.rows - design.cell(target).height()).max(0),
         );
         let milp = mrl_baselines::milp_local_cost(&cfg, &design, &state, target, pos);
-        let mll = mrl_baselines::mll_exact_outcome(&cfg, &design, &mut state, target, pos)
+        let exact = cfg.with_eval_mode(EvalMode::Exact);
+        let mll = mll(&design, &mut state, &exact, target, pos, &mut LegalizeCtx::new(), 0)
             .expect("target unplaced");
         match (milp, mll) {
-            (Some(opt), MllOutcome::Placed(eval)) => {
+            (Some(opt), Ok(eval)) => {
                 prop_assert!(
                     (opt - eval.cost).abs() < 1e-6,
                     "milp {} vs mll-exact {}", opt, eval.cost
                 );
             }
-            (None, MllOutcome::NoInsertionPoint) => {}
+            (None, Err(_)) => {}
             (milp, mll) => {
                 return Err(TestCaseError::fail(format!(
                     "feasibility mismatch: milp={milp:?}, mll={mll:?}"
@@ -582,6 +540,152 @@ proptest! {
                 prop_assert!(cells.x_right[l] + cells.w[l] <= seg.x1);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Nested journal savepoints.
+// ---------------------------------------------------------------------------
+
+/// Applies one random `place` / `remove` / `shift_batch` /
+/// `displace_batch` to `state` if it succeeds on a clone, and returns the
+/// cells it touched in first-touch order: a batch touches its cells in list
+/// order, and `displace_batch` lifts its placed cells before it places the
+/// destinations.
+fn random_mutation(
+    design: &Design,
+    state: &mut PlacementState,
+    rng: &mut Lcg,
+    s: &Scenario,
+) -> Vec<CellId> {
+    let cells: Vec<CellId> = design.movable_cells().collect();
+    let mut picked: Vec<CellId> = Vec::new();
+    for _ in 0..=rng.below(2) {
+        let c = cells[rng.below(cells.len() as u64) as usize];
+        if !picked.contains(&c) {
+            picked.push(c);
+        }
+    }
+    let spot = |rng: &mut Lcg, c: CellId| {
+        let cell = design.cell(c);
+        let x = (rng.below(s.width as u64) as i32).min((s.width - cell.width()).max(0));
+        let y = (rng.below(s.rows as u64) as i32).min((s.rows - cell.height()).max(0));
+        SitePoint::new(x, y)
+    };
+    let applies = |f: &dyn Fn(&mut PlacementState) -> bool, state: &mut PlacementState| {
+        f(&mut state.clone()) && f(state)
+    };
+    let c = picked[0];
+    match rng.below(4) {
+        0 if !state.is_placed(c) => {
+            let at = spot(rng, c);
+            if applies(&|st| st.place_ignoring_rails(design, c, at).is_ok(), state) {
+                return vec![c];
+            }
+        }
+        1 if state.is_placed(c) && applies(&|st| st.remove(design, c).is_ok(), state) => {
+            return vec![c];
+        }
+        2 => {
+            let moves: Vec<(CellId, i32)> = picked
+                .iter()
+                .filter_map(|&c| {
+                    state
+                        .position(c)
+                        .map(|p| (c, p.x + rng.below(7) as i32 - 3))
+                })
+                .collect();
+            if !moves.is_empty() && applies(&|st| st.shift_batch(design, &moves).is_ok(), state) {
+                return moves.iter().map(|&(c, _)| c).collect();
+            }
+        }
+        3 => {
+            let moves: Vec<(CellId, Option<SitePoint>)> = picked
+                .iter()
+                .map(|&c| (c, (rng.below(3) != 0).then(|| spot(rng, c))))
+                .collect();
+            let lifted: Vec<CellId> = picked
+                .iter()
+                .copied()
+                .filter(|&c| state.is_placed(c))
+                .collect();
+            if applies(&|st| st.displace_batch(design, &moves).is_ok(), state) {
+                let placed = moves
+                    .iter()
+                    .filter(|&&(c, to)| to.is_some() && !lifted.contains(&c))
+                    .map(|&(c, _)| c);
+                return lifted.iter().copied().chain(placed).collect();
+            }
+        }
+        _ => {}
+    }
+    Vec::new()
+}
+
+/// An open savepoint of the workload: the token, the positions when it
+/// opened, and the flat first-touch log this test keeps for it.
+type Level = (
+    Savepoint,
+    Vec<Option<SitePoint>>,
+    Vec<(CellId, Option<SitePoint>)>,
+);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random mutation sequences interleaved with savepoint open /
+    /// rollback / release, up to depth 3: a rollback restores the
+    /// snapshot taken when its savepoint opened (and the index stays
+    /// consistent), and the innermost open level's entries — in
+    /// particular the enclosing level's, right after an inner savepoint
+    /// closes either way — equal an independently kept flat first-touch
+    /// log: same cells, same order, same prior positions.
+    #[test]
+    fn nested_savepoints_match_a_flat_first_touch_log(s in scenario()) {
+        let Some((design, mut state, _)) = build(&s) else { return Ok(()) };
+        let mut rng = Lcg(s.seed | 1);
+        let mut levels: Vec<Level> = Vec::new();
+        for step in 0..64 {
+            let roll = if levels.is_empty() { 4 } else { rng.below(8) };
+            match roll {
+                4 if levels.len() < 3 => {
+                    let snap = state.snapshot();
+                    levels.push((state.savepoint(), snap, Vec::new()));
+                }
+                5 | 6 if !levels.is_empty() => {
+                    let (sp, snap, _) = levels.pop().expect("open level");
+                    if roll == 5 {
+                        state.rollback_to(&design, sp).expect("journal applies");
+                        prop_assert_eq!(state.snapshot(), snap, "rollback at step {}", step);
+                        prop_assert!(state.verify_index(&design).is_ok(), "index at step {}", step);
+                    } else {
+                        state.release(sp);
+                    }
+                }
+                _ => {
+                    let before = state.snapshot();
+                    for c in random_mutation(&design, &mut state, &mut rng, &s) {
+                        for (_, _, log) in levels.iter_mut() {
+                            if !log.iter().any(|&(x, _)| x == c) {
+                                log.push((c, before[c.index()]));
+                            }
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(state.open_savepoints(), levels.len());
+            if let Some((sp, _, log)) = levels.last() {
+                prop_assert_eq!(state.journal(sp), log.as_slice(), "step {}", step);
+            }
+        }
+        while let Some((sp, snap, _)) = levels.pop() {
+            state.rollback_to(&design, sp).expect("journal applies");
+            prop_assert_eq!(state.snapshot(), snap);
+            if let Some((sp, _, log)) = levels.last() {
+                prop_assert_eq!(state.journal(sp), log.as_slice());
+            }
+        }
+        prop_assert!(state.verify_index(&design).is_ok());
     }
 }
 
