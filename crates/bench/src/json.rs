@@ -8,6 +8,12 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap one line of `[` from a
+/// network client would overflow the stack; 128 is far beyond any
+/// document this workspace reads or writes.
+const MAX_NESTING: usize = 128;
+
 /// A JSON value. Object keys keep insertion-independent (sorted) order so
 /// emitted artifacts are byte-stable run to run.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,11 +60,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A human-readable message with the byte offset of the first problem.
+    /// A human-readable message with the byte offset of the first problem,
+    /// including arrays and objects nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -210,6 +218,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,11 +261,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_NESTING`] before the recursion can exhaust the stack.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -477,7 +502,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 
 #[cfg(test)]
 mod tests {
-    use super::Json;
+    use super::{Json, MAX_NESTING};
 
     #[test]
     fn emits_sorted_pretty_objects() {
@@ -521,6 +546,19 @@ mod tests {
         assert!(Json::parse("\"open").is_err());
         assert!(Json::parse("{} extra").is_err());
         assert!(Json::parse("nulL").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Json::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_NESTING + 1) + "1" + &"}".repeat(MAX_NESTING + 1);
+        assert!(Json::parse(&objects).is_err());
+        // One line of `[` far deeper than any stack would hold is a plain
+        // error, not a crash.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -1026,6 +1026,11 @@ fn verify_session_legal(session: &mrl_eco::EcoSession, request: u64) -> Result<(
 /// NDJSON requests line by line until the peer closes, then returns the
 /// session summary. The bound address is printed to stderr so scripts can
 /// use an OS-assigned port (`127.0.0.1:0`).
+///
+/// Each response leaves in one write of its line and newline, with Nagle's
+/// algorithm off: a response never waits for the client to acknowledge the
+/// previous segment, which a client holds back for its delayed-ACK timer
+/// (about 40 ms on Linux) whether it waits for each answer or pipelines.
 fn serve_tcp(
     session: &mut mrl_eco::EcoSession,
     addr: &str,
@@ -1044,6 +1049,9 @@ fn serve_tcp(
     let (stream, peer) = listener
         .accept()
         .map_err(|e| fail(format!("accept: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| fail(format!("set TCP_NODELAY: {e}")))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| fail(format!("clone: {e}")))?;
@@ -1064,11 +1072,11 @@ fn serve_tcp(
             }
             continue;
         }
-        let response = serve_one(session, line, check)?;
+        let mut response = serve_one(session, line, check)?;
+        response.push('\n');
         let respond_t = std::time::Instant::now();
         writer
             .write_all(response.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
             .map_err(|e| fail(format!("write to {peer}: {e}")))?;
         telemetry.phase_respond.observe(us(respond_t));
         processed += 1;
@@ -1413,6 +1421,106 @@ mod tests {
         (it.next().unwrap(), it.next().unwrap())
     }
 
+    /// A loopback port free at the time of the call.
+    fn free_port() -> u16 {
+        std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap()
+            .port()
+    }
+
+    /// One connection to `mrl serve --listen` running in a thread of this
+    /// process on a free loopback port.
+    struct ServeClient {
+        reader: std::io::BufReader<std::net::TcpStream>,
+        writer: std::net::TcpStream,
+        server: std::thread::JoinHandle<Result<String, CliError>>,
+    }
+
+    impl ServeClient {
+        /// Starts the server on `aux` with `extra` flags and connects.
+        fn start(aux: &Path, extra: &[&str]) -> Self {
+            let addr = format!("127.0.0.1:{}", free_port());
+            let mut argv = vec![
+                "serve".to_string(),
+                "--aux".to_string(),
+                aux.to_str().unwrap().to_string(),
+                "--listen".to_string(),
+                addr.clone(),
+            ];
+            argv.extend(extra.iter().map(|s| s.to_string()));
+            let server = std::thread::spawn(move || run(&argv));
+            // The server legalizes before binding; retry until it listens.
+            for _ in 0..300 {
+                if let Ok(stream) = std::net::TcpStream::connect(&addr) {
+                    return ServeClient {
+                        reader: std::io::BufReader::new(stream.try_clone().unwrap()),
+                        writer: stream,
+                        server,
+                    };
+                }
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            panic!("server never bound {addr}");
+        }
+
+        /// Sends `text` in one write and reads `n` response lines. Returns
+        /// them, newlines stripped, with the time from the write to the
+        /// last one.
+        fn send(&mut self, text: &str, n: usize) -> (Vec<String>, std::time::Duration) {
+            use std::io::{BufRead as _, Write as _};
+            let t = std::time::Instant::now();
+            self.writer.write_all(text.as_bytes()).unwrap();
+            let responses = (0..n)
+                .map(|_| {
+                    let mut line = String::new();
+                    self.reader.read_line(&mut line).unwrap();
+                    assert!(line.ends_with('\n'), "no response to {} bytes", text.len());
+                    line.trim_end().to_string()
+                })
+                .collect();
+            (responses, t.elapsed())
+        }
+
+        /// Sends `text` and returns the one response it gets.
+        fn ask(&mut self, text: &str) -> String {
+            self.send(text, 1).0.remove(0)
+        }
+
+        /// Closes the connection and returns the server's summary.
+        fn finish(self) -> String {
+            drop(self.writer);
+            drop(self.reader);
+            self.server.join().unwrap().unwrap()
+        }
+    }
+
+    /// A response line without its `wall_us` field, the one part of a
+    /// response that differs from run to run.
+    fn strip_wall_us(line: &str) -> String {
+        const KEY: &str = ",\"wall_us\":";
+        let Some(at) = line.find(KEY) else {
+            return line.to_string();
+        };
+        let value = at + KEY.len();
+        let digits = line[value..].bytes().take_while(u8::is_ascii_digit).count();
+        format!("{}{}", &line[..at], &line[value + digits..])
+    }
+
+    /// A one-move request of cell `cell` whose target depends on `id`.
+    fn move_request(id: usize, cell: usize) -> String {
+        format!(
+            "{{\"id\":{id},\"edits\":[{{\"op\":\"move\",\"cell\":{cell},\"x\":{}.0,\"y\":1.0}}]}}\n",
+            4 + id % 8
+        )
+    }
+
+    /// Round trips at the start of a connection that Linux acknowledges at
+    /// once (quick-ACK mode covers about the first 16 segments). Latency
+    /// tests run past them, where the peer delays its ACKs.
+    const WARM_UP_ROUND_TRIPS: usize = 32;
+
     #[test]
     fn serve_applies_scripted_stream_from_file() {
         let aux = generated_aux("serve");
@@ -1505,102 +1613,163 @@ mod tests {
 
     #[test]
     fn serve_answers_over_tcp() {
-        use std::io::{BufRead as _, BufReader, Write as _};
         let aux = generated_aux("servetcp");
         let (m0, _) = movable_indices(&aux);
-        let port = 21000 + (std::process::id() % 20000) as u16;
-        let addr = format!("127.0.0.1:{port}");
-        let aux_s = aux.to_str().unwrap().to_string();
-        let addr_clone = addr.clone();
-        let server = std::thread::spawn(move || {
-            run(&args(&[
-                "serve",
-                "--aux",
-                &aux_s,
-                "--listen",
-                &addr_clone,
-                "--check",
-            ]))
-        });
-        // The server legalizes before binding; retry until it listens.
-        let mut stream = None;
-        for _ in 0..300 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(100)),
-            }
-        }
-        let stream = stream.expect("server never bound");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        writer
-            .write_all(
-                format!(
-                    "{{\"id\":9,\"edits\":[{{\"op\":\"move\",\"cell\":{m0},\"x\":7.0,\"y\":1.0}}]}}\n"
-                )
-                .as_bytes(),
-            )
-            .unwrap();
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
+        let mut client = ServeClient::start(&aux, &["--check"]);
+        let response = client.ask(&move_request(9, m0));
         assert!(response.contains("\"id\":9"), "{response}");
         assert!(response.contains("\"applied\":true"), "{response}");
-        drop(writer);
-        drop(reader);
-        let summary = server.join().unwrap().unwrap();
+        let summary = client.finish();
         assert!(summary.contains("served 1 batches"), "{summary}");
     }
 
     #[test]
+    fn serve_tcp_sequential_requests_skip_the_delayed_ack() {
+        let aux = generated_aux("servetcpseq");
+        let (m0, _) = movable_indices(&aux);
+        let mut client = ServeClient::start(&aux, &[]);
+        for id in 0..WARM_UP_ROUND_TRIPS {
+            client.ask(&move_request(id, m0));
+        }
+        let mut lat: Vec<std::time::Duration> = (WARM_UP_ROUND_TRIPS..WARM_UP_ROUND_TRIPS + 32)
+            .map(|id| {
+                let (responses, took) = client.send(&move_request(id, m0), 1);
+                assert!(responses[0].contains("\"applied\":true"), "{responses:?}");
+                took
+            })
+            .collect();
+        lat.sort_unstable();
+        // A response held back by Nagle's algorithm waits out the client's
+        // delayed ACK, about 40 ms; the engine needs well under 1 ms here.
+        let median = lat[lat.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "median round trip {median:?}"
+        );
+        client.finish();
+    }
+
+    #[test]
+    fn serve_tcp_pipelined_burst_skips_the_delayed_ack() {
+        let aux = generated_aux("servetcppipe");
+        let (m0, _) = movable_indices(&aux);
+        let mut client = ServeClient::start(&aux, &[]);
+        for id in 0..WARM_UP_ROUND_TRIPS {
+            client.ask(&move_request(id, m0));
+        }
+        // Eight requests in one write: with Nagle on, each response after
+        // the first waits for the ACK of the one before it.
+        let best = (0..3)
+            .map(|burst| {
+                let first = WARM_UP_ROUND_TRIPS + 8 * burst;
+                let text: String = (first..first + 8).map(|id| move_request(id, m0)).collect();
+                let (responses, took) = client.send(&text, 8);
+                for (i, r) in responses.iter().enumerate() {
+                    assert!(r.contains(&format!("\"id\":{}", first + i)), "{r}");
+                }
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(
+            best < std::time::Duration::from_millis(20),
+            "best 8-request burst {best:?}"
+        );
+        client.finish();
+    }
+
+    #[test]
+    fn serve_tcp_responses_match_the_input_replay() {
+        let aux = generated_aux("servetcpreplay");
+        let (m0, m1) = movable_indices(&aux);
+        let mut stream = String::new();
+        for id in 0..12 {
+            stream.push_str(&move_request(id, if id % 2 == 0 { m0 } else { m1 }));
+        }
+        stream.push_str(&format!(
+            "{{\"id\":12,\"edits\":[{{\"op\":\"insert\",\"name\":\"b0\",\"w\":2,\"h\":1,\"rail\":\"vdd\",\"x\":9.0,\"y\":2.0}}]}}\n\
+             {{\"id\":13,\"edits\":[{{\"op\":\"resize\",\"cell\":{m1},\"w\":3}}]}}\n\
+             not json\n"
+        ));
+        let requests = stream.lines().count();
+        let mut client = ServeClient::start(&aux, &["--check"]);
+        // Half the stream one request at a time, the rest in one write.
+        let mut wire: Vec<String> = stream
+            .lines()
+            .take(requests / 2)
+            .map(|line| client.ask(&format!("{line}\n")))
+            .collect();
+        let rest: String = stream
+            .lines()
+            .skip(requests / 2)
+            .map(|l| format!("{l}\n"))
+            .collect();
+        wire.extend(client.send(&rest, requests - requests / 2).0);
+        client.finish();
+
+        let path = aux.parent().unwrap().join("replay.ndjson");
+        std::fs::write(&path, &stream).unwrap();
+        let out = run(&args(&[
+            "serve",
+            "--aux",
+            aux.to_str().unwrap(),
+            "--input",
+            path.to_str().unwrap(),
+            "--check",
+        ]))
+        .unwrap();
+        let replay: Vec<String> = out
+            .lines()
+            .filter(|l| l.starts_with('{'))
+            .map(strip_wall_us)
+            .collect();
+        let wire: Vec<String> = wire.iter().map(|l| strip_wall_us(l)).collect();
+        assert_eq!(wire.len(), requests);
+        // Every batch applies; the last line is the parse error.
+        assert!(
+            wire[..requests - 1]
+                .iter()
+                .all(|l| l.contains("\"applied\":true")),
+            "{wire:?}"
+        );
+        assert_eq!(wire, replay);
+        assert!(wire.iter().all(|l| !l.contains("wall_us")), "{wire:?}");
+    }
+
+    #[test]
+    fn serve_answers_a_too_deeply_nested_line_and_keeps_serving() {
+        let aux = generated_aux("servenest");
+        let (m0, _) = movable_indices(&aux);
+        let mut client = ServeClient::start(&aux, &[]);
+        // 200 KB of `[` used to recurse once per byte and overflow the stack.
+        let response = client.ask(&format!("{}\n", "[".repeat(200_000)));
+        assert!(
+            response.starts_with("{\"error\":{\"kind\":\"parse\""),
+            "{response}"
+        );
+        assert!(response.contains("nesting deeper than"), "{response}");
+        assert!(response.ends_with("\"id\":null}"), "{response}");
+        let next = client.ask(&move_request(1, m0));
+        assert!(next.contains("\"applied\":true"), "{next}");
+        assert!(client.finish().contains("served 1 batches"));
+    }
+
+    #[test]
     fn serve_exposes_metrics_and_health_over_http() {
-        use std::io::{BufRead as _, BufReader, Write as _};
         let aux = generated_aux("servemetrics");
         let (m0, _) = movable_indices(&aux);
-        let pid = std::process::id();
-        let addr = format!("127.0.0.1:{}", 41000 + (pid % 10000) as u16);
-        let maddr = format!("127.0.0.1:{}", 51000 + (pid % 10000) as u16);
+        let maddr = format!("127.0.0.1:{}", free_port());
         let metrics_json = aux.parent().unwrap().join("serve_metrics.json");
-        let (aux_s, addr_s, maddr_s) = (
-            aux.to_str().unwrap().to_string(),
-            addr.clone(),
-            maddr.clone(),
-        );
-        let json_s = metrics_json.to_str().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            run(&args(&[
-                "serve",
-                "--aux",
-                &aux_s,
-                "--listen",
-                &addr_s,
+        let mut client = ServeClient::start(
+            &aux,
+            &[
                 "--metrics-addr",
-                &maddr_s,
+                &maddr,
                 "--metrics-json",
-                &json_s,
-            ]))
-        });
-        let mut stream = None;
-        for _ in 0..300 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(100)),
-            }
-        }
-        let stream = stream.expect("server never bound");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut ask = |line: String| {
-            writer.write_all(line.as_bytes()).unwrap();
-            let mut response = String::new();
-            reader.read_line(&mut response).unwrap();
-            response
-        };
+                metrics_json.to_str().unwrap(),
+            ],
+        );
+        let mut ask = |line: String| client.ask(&line);
 
         let ok = ask(format!(
             "{{\"id\":1,\"edits\":[{{\"op\":\"move\",\"cell\":{m0},\"x\":6.0,\"y\":1.0}}]}}\n"
@@ -1661,9 +1830,7 @@ mod tests {
             .1
             .contains("mrl_serve_healthy 0"),);
 
-        drop(writer);
-        drop(reader);
-        let summary = server.join().unwrap().unwrap();
+        let summary = client.finish();
         assert!(summary.contains("served 2 batches"), "{summary}");
         // The final summary merged the live histograms into metrics-v1.
         let written = std::fs::read_to_string(&metrics_json).unwrap();

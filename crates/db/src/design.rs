@@ -25,6 +25,9 @@ pub struct Design {
     netlist: Netlist,
     regions: Vec<FenceRegion>,
     cell_region: Vec<Option<RegionId>>,
+    /// Total area of the movable cells, kept current by the in-place
+    /// mutators so admission checks and [`Design::density`] are O(1).
+    movable_area: i64,
 }
 
 impl Design {
@@ -148,13 +151,16 @@ impl Design {
                 "cell {name}: dimensions {width}x{height} must be positive"
             )));
         }
-        self.check_movable_fits(&name, width, height, i64::from(width) * i64::from(height))?;
+        let area = i64::from(width) * i64::from(height);
+        self.check_movable_fits(&name, width, height, area)?;
         let id = CellId::from_usize(self.cells.len());
         self.cells
             .push(Cell::new(name, width, height, rail, CellKind::Movable));
         self.input_pos.push(input);
         self.cell_region.push(None);
-        self.netlist.rebuild_cell_index(self.cells.len());
+        // The cell → pin index stays as is: the new cell carries no pins,
+        // and `pins_of_cell` answers `&[]` past the end of the index.
+        self.movable_area += area;
         Ok(id)
     }
 
@@ -182,6 +188,7 @@ impl Design {
         let grown = i64::from(width - c.width()) * i64::from(c.height());
         self.check_movable_fits(&name, width, c.height(), grown.max(0))?;
         self.cells[cell.index()].set_width(width);
+        self.movable_area += grown;
         Ok(())
     }
 
@@ -218,10 +225,13 @@ impl Design {
                 )));
             }
         }
+        let dropped: i64 = self.cells[len..].iter().map(Cell::area).sum();
         self.cells.truncate(len);
         self.input_pos.truncate(len);
         self.cell_region.truncate(len);
-        self.netlist.rebuild_cell_index(self.cells.len());
+        // Every dropped cell is pin-free, so its index entry (if it has one)
+        // is empty already and the cell → pin index needs no rebuild.
+        self.movable_area -= dropped;
         Ok(())
     }
 
@@ -253,16 +263,10 @@ impl Design {
                 "cell {name} ({width} sites) is wider than every row"
             )));
         }
-        let movable_area: i64 = self
-            .cells
-            .iter()
-            .filter(|c| c.is_movable())
-            .map(Cell::area)
-            .sum();
-        if movable_area + extra_area > self.floorplan.capacity() {
+        if self.movable_area + extra_area > self.floorplan.capacity() {
             return Err(DbError::Invalid(format!(
                 "movable area {} exceeds placement capacity {}",
-                movable_area + extra_area,
+                self.movable_area + extra_area,
                 self.floorplan.capacity()
             )));
         }
@@ -296,17 +300,11 @@ impl Design {
 
     /// Movable cell area divided by unblocked placement capacity.
     pub fn density(&self) -> f64 {
-        let area: i64 = self
-            .cells
-            .iter()
-            .filter(|c| c.is_movable())
-            .map(Cell::area)
-            .sum();
         let cap = self.floorplan.capacity();
         if cap == 0 {
             f64::INFINITY
         } else {
-            area as f64 / cap as f64
+            self.movable_area as f64 / cap as f64
         }
     }
 
@@ -590,6 +588,7 @@ impl DesignBuilder {
             netlist,
             regions: self.regions,
             cell_region: self.cell_region,
+            movable_area,
         })
     }
 }

@@ -140,7 +140,8 @@ impl Netlist {
         self.cell_pins = index;
     }
 
-    /// Pins on a cell (empty if the index was not rebuilt).
+    /// Pins on a cell (empty if the index was not rebuilt, or for a cell
+    /// past its end, such as one appended to a finished design).
     pub fn pins_of_cell(&self, cell: CellId) -> &[PinId] {
         self.cell_pins
             .get(cell.index())
