@@ -39,6 +39,7 @@ use mrl_metrics::{
 use mrl_parsers::{bookshelf, lefdef};
 use mrl_synth::{generate, ispd2015_suite, GeneratorConfig};
 use std::fmt::Write as _;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// CLI failure: message plus suggested exit code.
@@ -853,7 +854,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         "serve" => {
             let design = load_design(&o)?;
-            let design_name = design.name().to_string();
             let cfg = legalizer_config(&o);
             let mut state = PlacementState::new(&design);
             Legalizer::new(cfg.clone())
@@ -861,62 +861,70 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 .map_err(|e| fail(format!("base legalization failed: {e}")))?;
             let eco_cfg = mrl_eco::EcoConfig::default().with_max_induced_disp(o.budget);
             let mut session = mrl_eco::EcoSession::new(design, state, cfg, eco_cfg);
-            let telemetry = std::sync::Arc::clone(session.telemetry());
 
             // The exporter thread holds its own Arc; it keeps answering
             // /metrics and /healthz until the process exits.
             if let Some(addr) = &o.metrics_addr {
-                let collect: std::sync::Arc<dyn mrl_telemetry::Collect> = telemetry.clone();
+                let collect: std::sync::Arc<dyn mrl_telemetry::Collect> =
+                    session.telemetry().clone();
                 let (bound, _thread) = mrl_telemetry::spawn_exporter(addr, collect)
                     .map_err(|e| fail(format!("cannot bind metrics endpoint {addr}: {e}")))?;
                 eprintln!("metrics on {bound}");
             }
 
-            let mut out = if let Some(addr) = &o.listen {
-                serve_tcp(&mut session, addr, o.check, o.stats_every)?
-            } else {
-                let text = match &o.input {
-                    Some(path) => std::fs::read_to_string(path)
-                        .map_err(|e| fail(format!("cannot read {}: {e}", path.display())))?,
-                    None => {
-                        let mut buf = String::new();
-                        std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
-                            .map_err(|e| fail(format!("cannot read stdin: {e}")))?;
-                        buf
+            let mut responses = Vec::new();
+            let mut listening = None;
+            let (input, output): (Box<dyn io::BufRead>, Box<dyn io::Write + '_>) =
+                match (&o.listen, &o.input) {
+                    (Some(addr), _) => {
+                        let accept = || -> io::Result<_> {
+                            let listener = std::net::TcpListener::bind(addr)?;
+                            let local = listener.local_addr()?;
+                            // Scripts read the port of `127.0.0.1:0` here.
+                            eprintln!("serving on {local}");
+                            let (stream, _) = listener.accept()?;
+                            // Nagle off: no response waits for a delayed ACK.
+                            stream.set_nodelay(true)?;
+                            Ok((stream.try_clone()?, stream, local))
+                        };
+                        let (reader, writer, local) =
+                            accept().map_err(|e| fail(format!("cannot serve on {addr}: {e}")))?;
+                        listening = Some(local);
+                        (Box::new(io::BufReader::new(reader)), Box::new(writer))
                     }
+                    (None, Some(path)) => {
+                        let file = std::fs::File::open(path)
+                            .map_err(|e| fail(format!("cannot read {}: {e}", path.display())))?;
+                        (Box::new(io::BufReader::new(file)), Box::new(&mut responses))
+                    }
+                    (None, None) => (Box::new(io::stdin().lock()), Box::new(&mut responses)),
                 };
-                let mut out = String::new();
-                let mut processed = 0u64;
-                for line in text.lines() {
-                    let line = line.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        if line == "#poison" {
-                            session.telemetry().poison();
-                        }
-                        continue;
-                    }
-                    out.push_str(&serve_one(&mut session, line, o.check)?);
-                    out.push('\n');
-                    processed += 1;
-                    if o.stats_every.is_some_and(|n| processed.is_multiple_of(n)) {
-                        eprintln!("{}", session.telemetry().stats_line("stats"));
-                    }
-                }
-                let _ = writeln!(
-                    out,
-                    "served {} batches ({} applied, {} rejected, {} cells now deleted)",
-                    session.batches_applied() + session.batches_rejected(),
-                    session.batches_applied(),
-                    session.batches_rejected(),
-                    session.num_deleted(),
-                );
-                out
+            let served = mrl_eco::serve(&mut session, input, output, o.check, o.stats_every);
+            served.map_err(|e| match e {
+                mrl_eco::ServeError::Io(_) => fail(e.to_string()),
+                _ => CliError {
+                    message: e.to_string(),
+                    code: 1,
+                },
+            })?;
+            let (applied, rejected) = (session.batches_applied(), session.batches_rejected());
+            let batches = applied + rejected;
+            let mut out = match listening {
+                Some(local) => format!(
+                    "served {batches} batches over {local} ({applied} applied, {rejected} rejected)\n"
+                ),
+                None => format!(
+                    "{}served {batches} batches ({applied} applied, {rejected} rejected, {} cells now deleted)\n",
+                    String::from_utf8_lossy(&responses),
+                    session.num_deleted()
+                ),
             };
             // Final stats summary on the EOF/peer-close path — stderr, so
             // the NDJSON response stream on stdout stays canonical.
+            let telemetry = session.telemetry();
             eprintln!("{}", telemetry.stats_line("shutdown"));
             if let Some(path) = &o.metrics_json {
-                let summary = telemetry.to_metrics_summary(&design_name);
+                let summary = telemetry.to_metrics_summary(session.design().name());
                 std::fs::write(path, summary.to_json_string())
                     .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
                 let _ = writeln!(out, "wrote metrics to {}", path.display());
@@ -943,153 +951,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(fail(format!("unknown command {other}\n{USAGE}"))),
     }
-}
-
-/// Renders the canonical structured error response: a `kind` from a closed
-/// set (`"parse"`, `"invalid_edit"`), the free-form message, and the
-/// request id when one was parseable (`null` for unparseable lines).
-fn error_response(kind: &str, message: &str, id: Option<u64>) -> String {
-    let mut err = Json::obj();
-    err.set("kind", kind).set("message", message);
-    let mut j = Json::obj();
-    j.set("error", err);
-    match id {
-        Some(id) => j.set("id", id),
-        None => j.set("id", Json::Null),
-    };
-    j.compact()
-}
-
-/// Applies one NDJSON request line to the session and renders the response
-/// line: per-batch stats on success, a structured `{"error":{...}}` object
-/// for malformed requests (the connection survives), a hard [`CliError`]
-/// only for internal failures or a `--check` legality violation.
-fn serve_one(
-    session: &mut mrl_eco::EcoSession,
-    line: &str,
-    check: bool,
-) -> Result<String, CliError> {
-    let telemetry = std::sync::Arc::clone(session.telemetry());
-    let parse_t = std::time::Instant::now();
-    let parsed = mrl_eco::stream::parse_batch_line(line);
-    telemetry
-        .phase_parse
-        .observe(u64::try_from(parse_t.elapsed().as_micros()).unwrap_or(u64::MAX));
-    let batch = match parsed {
-        Ok(b) => b,
-        Err(e) => {
-            telemetry.errors_parse.inc();
-            return Ok(error_response("parse", e.as_str(), None));
-        }
-    };
-    let id = batch.id;
-    match session.apply_batch(&batch) {
-        Ok(stats) => {
-            if check {
-                verify_session_legal(session, id)?;
-            }
-            Ok(mrl_eco::stream::stats_to_line(&stats, true))
-        }
-        Err(mrl_eco::EcoError::InvalidEdit { request, message }) => {
-            Ok(error_response("invalid_edit", &message, Some(request)))
-        }
-        Err(e) => Err(CliError {
-            message: format!("request {id}: {e}"),
-            code: 1,
-        }),
-    }
-}
-
-/// `--check` oracle: full legality after every batch, tolerating
-/// tombstoned cells being unplaced.
-fn verify_session_legal(session: &mrl_eco::EcoSession, request: u64) -> Result<(), CliError> {
-    if let Err(report) = check_legal(session.design(), session.state(), RailCheck::Enforce) {
-        let real: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| match v {
-                mrl_metrics::Violation::Unplaced(c) => !session.is_deleted(*c),
-                _ => true,
-            })
-            .collect();
-        if !real.is_empty() {
-            return Err(CliError {
-                message: format!("request {request}: placement illegal after batch: {real:?}"),
-                code: 1,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One-shot TCP serving: binds `addr`, accepts a single connection, answers
-/// NDJSON requests line by line until the peer closes, then returns the
-/// session summary. The bound address is printed to stderr so scripts can
-/// use an OS-assigned port (`127.0.0.1:0`).
-///
-/// Each response leaves in one write of its line and newline, with Nagle's
-/// algorithm off: a response never waits for the client to acknowledge the
-/// previous segment, which a client holds back for its delayed-ACK timer
-/// (about 40 ms on Linux) whether it waits for each answer or pipelines.
-fn serve_tcp(
-    session: &mut mrl_eco::EcoSession,
-    addr: &str,
-    check: bool,
-    stats_every: Option<u64>,
-) -> Result<String, CliError> {
-    use std::io::{BufRead as _, Write as _};
-    let telemetry = std::sync::Arc::clone(session.telemetry());
-    let us = |t: std::time::Instant| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| fail(format!("cannot bind {addr}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| fail(format!("local_addr: {e}")))?;
-    eprintln!("serving on {local}");
-    let (stream, peer) = listener
-        .accept()
-        .map_err(|e| fail(format!("accept: {e}")))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| fail(format!("set TCP_NODELAY: {e}")))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| fail(format!("clone: {e}")))?;
-    let mut lines = std::io::BufReader::new(stream).lines();
-    let mut processed = 0u64;
-    loop {
-        let read_t = std::time::Instant::now();
-        let Some(line) = lines.next() else { break };
-        let line = line.map_err(|e| fail(format!("read from {peer}: {e}")))?;
-        telemetry.phase_read.observe(us(read_t));
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            // `#poison` is the operational drain hook: health flips to 503
-            // so a load balancer stops routing here, while in-flight
-            // serving continues.
-            if line == "#poison" {
-                telemetry.poison();
-            }
-            continue;
-        }
-        let mut response = serve_one(session, line, check)?;
-        response.push('\n');
-        let respond_t = std::time::Instant::now();
-        writer
-            .write_all(response.as_bytes())
-            .map_err(|e| fail(format!("write to {peer}: {e}")))?;
-        telemetry.phase_respond.observe(us(respond_t));
-        processed += 1;
-        if stats_every.is_some_and(|n| processed.is_multiple_of(n)) {
-            eprintln!("{}", telemetry.stats_line("stats"));
-        }
-    }
-    Ok(format!(
-        "served {} batches over {local} ({} applied, {} rejected)\n",
-        session.batches_applied() + session.batches_rejected(),
-        session.batches_applied(),
-        session.batches_rejected(),
-    ))
 }
 
 /// Usage text.

@@ -14,7 +14,9 @@
 //! design-level undo log give bit-exact rollback when a batch is rejected
 //! (infeasible insert, failed re-legalization, blown induced-displacement
 //! budget). The [`stream`] module defines the NDJSON wire format the
-//! `mrl serve` CLI mode and the fuzz harness's eco regime both speak.
+//! `mrl serve` CLI mode and the fuzz harness's eco regime both speak, and
+//! [`serve`] is the one request loop `mrl serve` runs over stdin, a file
+//! or a TCP connection.
 //!
 //! ```
 //! use mrl_db::PlacementState;
@@ -42,9 +44,11 @@
 
 #![warn(missing_docs)]
 
+mod server;
 mod session;
 pub mod stream;
 pub mod telemetry;
 
+pub use server::{serve, ServeError, MAX_LINE_BYTES};
 pub use session::{BatchStats, EcoConfig, EcoError, EcoSession, Edit, EditBatch};
 pub use telemetry::ServeTelemetry;

@@ -9,11 +9,12 @@ use std::time::{Duration, Instant};
 use mrl_db::{CellId, DbError, Design, PlacementState, Savepoint};
 use mrl_geom::{PowerRail, SiteRect};
 use mrl_legalize::{LegalizeCtx, Legalizer, LegalizerConfig, ScratchArena, Sink, TraceBuf};
+use mrl_metrics::{RailCheck, Violation};
 
 use crate::telemetry::{RejectReason, ServeTelemetry};
 
 /// Microseconds elapsed since `t`, saturated into the histogram domain.
-fn elapsed_us(t: Instant) -> u64 {
+pub(crate) fn elapsed_us(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -299,6 +300,23 @@ impl EcoSession {
     /// Number of tombstoned cells (O(1): maintained at commit).
     pub fn num_deleted(&self) -> usize {
         self.deleted_count
+    }
+
+    /// Independent legality of the live placement
+    /// ([`mrl_metrics::check_legal`], rails enforced), tolerating
+    /// tombstoned cells being unplaced.
+    ///
+    /// # Errors
+    ///
+    /// Every violation other than an unplaced tombstone.
+    pub fn check_legal(&self) -> Result<(), Vec<Violation>> {
+        let Err(report) = mrl_metrics::check_legal(&self.design, &self.state, RailCheck::Enforce)
+        else {
+            return Ok(());
+        };
+        let mut found = report.violations;
+        found.retain(|v| !matches!(v, Violation::Unplaced(c) if self.is_deleted(*c)));
+        found.is_empty().then_some(()).ok_or(found)
     }
 
     /// Batches committed so far.
@@ -659,7 +677,9 @@ impl EcoSession {
         // Resized cells currently placed hold index footprints at the new
         // width; lift them before shrinking the width back so the index
         // stays consistent, and before the journal replays original spans.
-        for &(cell, old_width) in prev_widths {
+        // Newest first, so a cell resized twice in one batch lands back on
+        // its true pre-batch width.
+        for &(cell, old_width) in prev_widths.iter().rev() {
             if self.state.is_placed(cell) {
                 self.state.remove(&self.design, cell)?;
             }

@@ -118,28 +118,25 @@ fn edit_from_json(j: &Json) -> Result<Edit, String> {
     }
 }
 
-/// Serializes a batch as a JSON value (`{"id":N,"edits":[...]}`).
-pub fn batch_to_json(batch: &EditBatch) -> Json {
+/// Serializes a batch as one compact NDJSON line,
+/// `{"edits":[...],"id":N}`, without a trailing newline.
+pub fn batch_to_line(batch: &EditBatch) -> String {
     let mut j = Json::obj();
     j.set("id", batch.id).set(
         "edits",
         Json::Arr(batch.edits.iter().map(edit_to_json).collect()),
     );
-    j
+    j.compact()
 }
 
-/// Serializes a batch as one compact NDJSON line (no trailing newline).
-pub fn batch_to_line(batch: &EditBatch) -> String {
-    batch_to_json(batch).compact()
-}
-
-/// Parses a batch from a JSON value.
+/// Parses one NDJSON request line.
 ///
 /// # Errors
 ///
-/// A human-readable message naming the malformed field.
-pub fn batch_from_json(j: &Json) -> Result<EditBatch, String> {
-    let id = get_int(j, "id")?;
+/// JSON syntax errors, or a message naming the malformed field.
+pub fn parse_batch_line(line: &str) -> Result<EditBatch, String> {
+    let j = Json::parse(line)?;
+    let id = get_int(&j, "id")?;
     let id = u64::try_from(id).map_err(|_| format!("field `id`: {id} must be non-negative"))?;
     let edits = match j.get("edits") {
         Some(Json::Arr(items)) => items
@@ -149,16 +146,6 @@ pub fn batch_from_json(j: &Json) -> Result<EditBatch, String> {
         other => return Err(format!("field `edits`: expected array, got {other:?}")),
     };
     Ok(EditBatch { id, edits })
-}
-
-/// Parses one NDJSON request line.
-///
-/// # Errors
-///
-/// JSON syntax errors or a malformed request shape.
-pub fn parse_batch_line(line: &str) -> Result<EditBatch, String> {
-    let j = Json::parse(line)?;
-    batch_from_json(&j)
 }
 
 /// Serializes a whole stream as NDJSON (one batch per line, trailing
@@ -189,10 +176,10 @@ pub fn parse_stream(text: &str) -> Result<Vec<EditBatch>, String> {
     Ok(out)
 }
 
-/// Serializes per-batch stats as a JSON value. `with_timing` controls the
-/// `wall_us` field: serving responses include it, byte-stability tests and
-/// corpus fixtures leave it out.
-pub fn stats_to_json(stats: &BatchStats, with_timing: bool) -> Json {
+/// Serializes per-batch stats as one compact NDJSON response line.
+/// `with_timing` controls the `wall_us` field: serving responses include
+/// it, byte-stability tests and corpus fixtures leave it out.
+pub fn stats_to_line(stats: &BatchStats, with_timing: bool) -> String {
     let mut j = Json::obj();
     j.set("id", stats.request)
         .set("applied", stats.applied)
@@ -226,12 +213,7 @@ pub fn stats_to_json(stats: &BatchStats, with_timing: bool) -> Json {
             u64::try_from(stats.wall.as_micros()).unwrap_or(u64::MAX),
         );
     }
-    j
-}
-
-/// Serializes per-batch stats as one compact NDJSON response line.
-pub fn stats_to_line(stats: &BatchStats, with_timing: bool) -> String {
-    stats_to_json(stats, with_timing).compact()
+    j.compact()
 }
 
 #[cfg(test)]

@@ -52,8 +52,8 @@ pub struct ServeTelemetry {
     pub(crate) rejects_insert: Arc<Counter>,
     pub(crate) rejects_legalize: Arc<Counter>,
     pub(crate) rejects_budget: Arc<Counter>,
-    /// Malformed NDJSON lines (incremented by the serve front-end).
-    pub errors_parse: Arc<Counter>,
+    /// Malformed NDJSON lines (incremented by the serve loop).
+    pub(crate) errors_parse: Arc<Counter>,
     pub(crate) errors_invalid_edit: Arc<Counter>,
     pub(crate) errors_internal: Arc<Counter>,
     pub(crate) edits_move: Arc<Counter>,
@@ -63,14 +63,14 @@ pub struct ServeTelemetry {
 
     // Latency funnel.
     /// Time blocked reading a request line (includes client think time;
-    /// recorded by the serve front-end).
-    pub phase_read: Arc<AtomicHist>,
-    /// NDJSON parse time per request line (recorded by the front-end).
-    pub phase_parse: Arc<AtomicHist>,
+    /// recorded by the serve loop).
+    pub(crate) phase_read: Arc<AtomicHist>,
+    /// NDJSON parse time per request line (recorded by the serve loop).
+    pub(crate) phase_parse: Arc<AtomicHist>,
     pub(crate) phase_validate: Arc<AtomicHist>,
     pub(crate) phase_legalize: Arc<AtomicHist>,
-    /// Response serialization + write time (recorded by the front-end).
-    pub phase_respond: Arc<AtomicHist>,
+    /// Response write time (recorded by the serve loop).
+    pub(crate) phase_respond: Arc<AtomicHist>,
     pub(crate) batch_latency: Arc<AtomicHist>,
     pub(crate) induced_disp: Arc<AtomicHist>,
     pub(crate) escalations: Arc<AtomicHist>,
@@ -180,26 +180,16 @@ impl ServeTelemetry {
 
     /// Marks the session unserviceable; `/healthz` answers 503 from now
     /// on. Flipped automatically on internal errors, and manually by the
-    /// serve front-end's `#poison` directive (drain hook).
+    /// serve loop's `#poison` directive (drain hook).
     pub fn poison(&self) {
         self.healthy.set(0);
     }
 
-    /// Seconds since the session opened.
-    pub fn uptime(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// The registry, for custom consumers.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// One flat NDJSON stats object (sorted keys, byte-stable for equal
-    /// values) for `--stats-every` lines and the shutdown summary.
-    /// `event` distinguishes periodic (`"stats"`) from final
+    /// One flat NDJSON stats line (sorted keys, byte-stable for equal
+    /// values, no trailing newline) for `--stats-every` and the shutdown
+    /// summary. `event` distinguishes periodic (`"stats"`) from final
     /// (`"shutdown"`) lines in a log pipeline.
-    pub fn stats_json(&self, event: &str) -> Json {
+    pub fn stats_line(&self, event: &str) -> String {
         let lat = self.batch_latency.snapshot();
         let mut j = Json::obj();
         j.set("event", event)
@@ -220,14 +210,11 @@ impl ServeTelemetry {
             .set("index_slack_bytes", self.index_slack_bytes.get())
             .set("journal_depth", self.journal_depth.get())
             .set("healthy", self.healthy.get() == 1)
-            .set("uptime_s", (self.uptime() * 1e3).round() / 1e3);
-        j
-    }
-
-    /// [`stats_json`](ServeTelemetry::stats_json) as one compact NDJSON
-    /// line (no trailing newline).
-    pub fn stats_line(&self, event: &str) -> String {
-        self.stats_json(event).compact()
+            .set(
+                "uptime_s",
+                (self.start.elapsed().as_secs_f64() * 1e3).round() / 1e3,
+            );
+        j.compact()
     }
 
     /// Folds the live histograms into an mrl-metrics-v1 summary: induced

@@ -6,7 +6,6 @@ use mrl_db::{CellId, Design, PlacementState, SegId};
 use mrl_eco::{EcoConfig, EcoError, EcoSession, Edit, EditBatch};
 use mrl_geom::PowerRail;
 use mrl_legalize::{Legalizer, LegalizerConfig};
-use mrl_metrics::{check_legal, RailCheck, Violation};
 use mrl_synth::{generate_witness, WitnessConfig};
 
 fn legalized_session(seed: u64, cells: usize, utilization: f64) -> EcoSession {
@@ -27,16 +26,8 @@ fn legalized_session(seed: u64, cells: usize, utilization: f64) -> EcoSession {
 
 /// Legality check that tolerates tombstoned cells being unplaced.
 fn assert_legal_modulo_deleted(session: &EcoSession) {
-    if let Err(report) = check_legal(session.design(), session.state(), RailCheck::Enforce) {
-        let real: Vec<_> = report
-            .violations
-            .iter()
-            .filter(|v| match v {
-                Violation::Unplaced(c) => !session.is_deleted(*c),
-                _ => true,
-            })
-            .collect();
-        assert!(real.is_empty(), "violations: {real:?}");
+    if let Err(violations) = session.check_legal() {
+        panic!("violations: {violations:?}");
     }
     session
         .state()

@@ -31,7 +31,7 @@ use crate::shrink::ShrinkStats;
 use mrl_db::{CellId, Design, PlacementState, SegId};
 use mrl_eco::{EcoConfig, EcoSession, Edit, EditBatch};
 use mrl_legalize::Legalizer;
-use mrl_metrics::{check_legal, RailCheck, Violation};
+use mrl_metrics::{check_legal, RailCheck};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,21 +139,11 @@ fn states_identical(design: &Design, a: &PlacementState, b: &PlacementState) -> 
 }
 
 /// Independent legality of a session's placement, tolerating tombstoned
-/// cells being unplaced. `None` = clean.
+/// cells being unplaced, plus its occupancy index. `None` = clean.
 fn session_illegal_detail(session: &EcoSession) -> Option<String> {
-    if let Err(report) = check_legal(session.design(), session.state(), RailCheck::Enforce) {
-        let real: Vec<String> = report
-            .violations
-            .iter()
-            .filter(|v| match v {
-                Violation::Unplaced(c) => !session.is_deleted(*c),
-                _ => true,
-            })
-            .map(|v| format!("{v:?}"))
-            .collect();
-        if !real.is_empty() {
-            return Some(real.join("; "));
-        }
+    if let Err(violations) = session.check_legal() {
+        let found: Vec<String> = violations.iter().map(|v| format!("{v:?}")).collect();
+        return Some(found.join("; "));
     }
     if let Err(e) = session.state().verify_index(session.design()) {
         return Some(format!("occupancy index inconsistent: {e}"));

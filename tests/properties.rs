@@ -748,13 +748,15 @@ proptest! {
 
     /// A batch rejected under a zero induced-displacement budget restores
     /// the session bit-exactly — positions, segment lists, extents, free
-    /// gaps, and the design's cell table. A batch that does commit under
-    /// that budget moved no neighbor at all.
+    /// gaps, and the design's cell table, widths included. A batch that
+    /// does commit under that budget moved no neighbor at all. Op 3
+    /// resizes one cell twice and then inserts a cell wider than the
+    /// 200-site strip, so its batch always rolls back.
     #[test]
     fn eco_zero_budget_rejection_is_bit_exact(
         seed in any::<u64>(),
         cells in 20..60usize,
-        op in 0..3u8,
+        op in 0..4u8,
         tx in 0..200i32,
         ty in 0..8i32,
         w in 6..14i32,
@@ -767,25 +769,39 @@ proptest! {
             .movable_cells()
             .nth(cells / 2)
             .expect("movable");
-        let edit = match op {
-            0 => Edit::Insert {
-                name: "prop_buf".to_string(),
-                width: w,
-                height: 1,
-                rail: PowerRail::Vdd,
-                x: f64::from(tx.min(199)),
-                y: f64::from(ty.min(7)),
-            },
-            1 => Edit::Resize { cell, width: w },
-            _ => Edit::Move { cell, x: f64::from(tx.min(199)), y: f64::from(ty.min(7)) },
+        let insert = |width: i32| Edit::Insert {
+            name: "prop_buf".to_string(),
+            width,
+            height: 1,
+            rail: PowerRail::Vdd,
+            x: f64::from(tx.min(199)),
+            y: f64::from(ty.min(7)),
+        };
+        let edits = match op {
+            0 => vec![insert(w)],
+            1 => vec![Edit::Resize { cell, width: w }],
+            2 => vec![Edit::Move { cell, x: f64::from(tx.min(199)), y: f64::from(ty.min(7)) }],
+            _ => vec![
+                Edit::Resize { cell, width: w },
+                Edit::Resize { cell, width: w + 1 },
+                insert(201),
+            ],
         };
         let stats = session
-            .apply_batch_with_budget(&EditBatch { id: 1, edits: vec![edit] }, Some(0))
+            .apply_batch_with_budget(&EditBatch { id: 1, edits }, Some(0))
             .expect("valid edit");
+        prop_assert!(op < 3 || !stats.applied, "a 201-site insert committed");
         if stats.applied {
             prop_assert_eq!(stats.induced_disp, 0);
         } else {
             prop_assert_eq!(session.design().num_cells(), design_before.num_cells());
+            for c in (0..design_before.num_cells()).map(CellId::from_usize) {
+                prop_assert_eq!(
+                    session.design().cell(c).width(),
+                    design_before.cell(c).width(),
+                    "width of {} not restored", c
+                );
+            }
             prop_assert!(
                 eco_states_identical(&design_before, &state_before, session.state()),
                 "rejected batch did not roll back bit-exactly"
