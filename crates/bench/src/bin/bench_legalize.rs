@@ -9,7 +9,7 @@
 //! bench_legalize [--cells N] [--density F] [--seed S] [--threads N]
 //!                [--bench NAME] [--scale N] [--json PATH] [--no-json]
 //!                [--baseline PATH] [--gate-pct N] [--scale-sweep N1,N2,..]
-//!                [--util-sweep U1,U2,..] [--perf-counters] [--speedup-gate]
+//!                [--util-sweep U1,U2,..] [--speedup-gate]
 //! ```
 //!
 //! * `--cells N` — synthesize an ad-hoc design with `N` movable cells
@@ -34,13 +34,6 @@
 //!   at 0.9 the bare heuristic deadlocks and the escalation ladder
 //!   (ripple chains / height-binned repack / ILP residue) does the
 //!   remaining placements.
-//! * `--perf-counters` — wrap each sequential run in hardware counters
-//!   (`perf_event_open`: cycles, instructions, cache and branch misses)
-//!   and record the best run's raw counts plus IPC / miss ratios in the
-//!   report. Silently a no-op where counters are unavailable (non-Linux,
-//!   sandboxed containers, `perf_event_paranoid` lockdown); the report
-//!   then carries `"perf": null`. Index bytes-per-cell is always
-//!   recorded, counters or not.
 //! * `--speedup-gate` — assert the parallel run is >= 1.3x over
 //!   sequential. The assertion only arms when at least 4 CPUs are
 //!   available and `--threads` >= 4; otherwise it is skipped with a note
@@ -58,11 +51,8 @@
 //! evaluated combos divided by the pruned run's evaluated combos.
 
 use mrl_bench::json::Json;
-use mrl_bench::perf::{PerfCounters, PerfSample};
 use mrl_db::{Design, PlacementState};
-use mrl_legalize::{
-    LegalizeCtx, LegalizeStats, Legalizer, LegalizerConfig, MetricsSummary, TraceBuf,
-};
+use mrl_legalize::{LegalizeCtx, LegalizeStats, Legalizer, LegalizerConfig, TraceBuf};
 use mrl_metrics::displacement_stats;
 use mrl_synth::{
     generate, generate_witness, ispd2015_suite, BenchmarkSpec, GeneratorConfig, WitnessConfig,
@@ -72,37 +62,6 @@ use mrl_synth::{
 /// and the exhaustive (prune-disabled) pass; larger sweep points get one
 /// sequential and one parallel run each.
 const FULL_PROTOCOL_MAX_CELLS: usize = 30_000;
-
-/// The `"perf"` report section: raw counter values plus derived ratios,
-/// or `Json::Null` when counters were unavailable or not requested.
-fn perf_to_json(sample: Option<&PerfSample>) -> Json {
-    let Some(s) = sample.filter(|s| s.any()) else {
-        return Json::Null;
-    };
-    let count = |o: &mut Json, key: &str, v: Option<u64>| {
-        match v {
-            Some(v) => o.set(key, v as f64),
-            None => o.set(key, Json::Null),
-        };
-    };
-    let ratio = |o: &mut Json, key: &str, v: Option<f64>| {
-        match v {
-            Some(v) => o.set(key, v),
-            None => o.set(key, Json::Null),
-        };
-    };
-    let mut p = Json::obj();
-    count(&mut p, "cycles", s.cycles);
-    count(&mut p, "instructions", s.instructions);
-    count(&mut p, "cache_references", s.cache_references);
-    count(&mut p, "cache_misses", s.cache_misses);
-    count(&mut p, "branch_instructions", s.branch_instructions);
-    count(&mut p, "branch_misses", s.branch_misses);
-    ratio(&mut p, "ipc", s.ipc());
-    ratio(&mut p, "cache_miss_pct", s.cache_miss_pct());
-    ratio(&mut p, "branch_miss_pct", s.branch_miss_pct());
-    p
-}
 
 fn run_to_json(design: &Design, stats: &LegalizeStats, state: &PlacementState) -> Json {
     let wall_s = stats.wall.as_secs_f64();
@@ -186,7 +145,6 @@ fn main() {
     let mut sweep: Option<Vec<usize>> = None;
     let mut util_sweep: Option<Vec<f64>> = None;
     let mut speedup_gate = false;
-    let mut opts = RunOpts { perf: false };
 
     fn usage(msg: &str) -> ! {
         eprintln!("{msg}");
@@ -194,7 +152,7 @@ fn main() {
             "usage: bench_legalize [--cells N] [--density F] [--seed S] [--threads N]\n\
              \x20                     [--bench NAME] [--scale N] [--json PATH] [--no-json]\n\
              \x20                     [--baseline PATH] [--gate-pct N] [--scale-sweep N1,N2,..]\n\
-             \x20                     [--util-sweep U1,U2,..] [--perf-counters] [--speedup-gate]"
+             \x20                     [--util-sweep U1,U2,..] [--speedup-gate]"
         );
         std::process::exit(2);
     }
@@ -261,7 +219,6 @@ fn main() {
                 }
                 util_sweep = Some(list);
             }
-            "--perf-counters" => opts.perf = true,
             "--speedup-gate" => speedup_gate = true,
             other => usage(&format!("unknown argument: {other}")),
         }
@@ -282,7 +239,6 @@ fn main() {
             threads,
             available,
             &lcfg,
-            opts,
             json_path.as_deref(),
             baseline.as_deref(),
             gate_pct,
@@ -309,7 +265,7 @@ fn main() {
         ),
     };
     let design = generate(&spec, &gen_cfg).expect("generate benchmark");
-    let full = single_point(&design, &lcfg, seed, threads, true, opts);
+    let full = single_point(&design, &lcfg, seed, threads, true);
 
     if let Some(path) = json_path {
         let mut root = full_report(&design, &lcfg, seed, threads, &full);
@@ -338,22 +294,12 @@ fn adhoc_spec(cells: usize, density: f64) -> BenchmarkSpec {
     )
 }
 
-/// Measurement switches threaded through every run.
-#[derive(Clone, Copy)]
-struct RunOpts {
-    /// Wrap sequential runs in hardware counters (`--perf-counters`).
-    perf: bool,
-}
-
 /// One measured design: pruned sequential (best-of-3 when `full`),
 /// exhaustive cross-check (when `full`), and one parallel run.
 struct PointResult {
     seq_stats: LegalizeStats,
     seq_state: PlacementState,
     seq_wall: f64,
-    /// Hardware counters around the best sequential run, when requested
-    /// and available.
-    seq_perf: Option<PerfSample>,
     exh: Option<(LegalizeStats, PlacementState, f64)>,
     par_stats: LegalizeStats,
     par_state: PlacementState,
@@ -366,7 +312,6 @@ fn single_point(
     seed: u64,
     threads: usize,
     full: bool,
-    opts: RunOpts,
 ) -> PointResult {
     let legalizer = Legalizer::new(lcfg.clone());
     let n = design.num_movable();
@@ -382,36 +327,17 @@ fn single_point(
     // tighten the timing, never change the placement. Million-cell sweep
     // points run once: their wall clocks are seconds, not milliseconds.
     let repeats = if full { 3 } else { 1 };
-    let (seq_stats, seq_state, seq_perf) = (0..repeats)
+    let (seq_stats, seq_state) = (0..repeats)
         .map(|_| {
             let mut state = PlacementState::new(design);
-            // Counters bracket exactly the legalization call, per run; the
-            // best (min-wall) run's sample is the one reported.
-            let counters = if opts.perf {
-                PerfCounters::start()
-            } else {
-                None
-            };
             let stats = legalizer
                 .legalize(design, &mut state)
                 .expect("sequential legalization");
-            let sample = counters.map(PerfCounters::stop);
-            (stats, state, sample)
+            (stats, state)
         })
-        .min_by_key(|(stats, ..)| stats.wall)
+        .min_by_key(|(stats, _)| stats.wall)
         .expect("at least one run");
     let seq_wall = seq_stats.wall.as_secs_f64();
-    if let Some(s) = seq_perf.as_ref().filter(|s| s.any()) {
-        let fmt = |v: Option<f64>| v.map_or("n/a".to_string(), |x| format!("{x:.2}"));
-        println!(
-            "perf:       ipc {}, cache-miss {}%, branch-miss {}%",
-            fmt(s.ipc()),
-            fmt(s.cache_miss_pct()),
-            fmt(s.branch_miss_pct())
-        );
-    } else if opts.perf {
-        println!("perf:       counters unavailable (perf_event_open denied or unsupported)");
-    }
     println!(
         "sequential: {:.3}s ({:.0} cells/s)",
         seq_wall,
@@ -472,7 +398,6 @@ fn single_point(
         seq_stats,
         seq_state,
         seq_wall,
-        seq_perf,
         exh,
         par_stats,
         par_state,
@@ -499,24 +424,7 @@ fn full_report(
     legalizer
         .legalize_parallel_with(design, &mut traced_state, threads, &mut ctx)
         .expect("traced legalization");
-    let (traced_stats, buf) = (ctx.stats, ctx.sink);
-    let mut metrics = MetricsSummary {
-        design: design.name().to_string(),
-        threads: traced_stats.threads,
-        wall: traced_stats.wall,
-        phases: traced_stats.phases,
-        placed: traced_stats.placed as u64,
-        direct: traced_stats.direct as u64,
-        via_mll: traced_stats.via_mll as u64,
-        mll_calls: traced_stats.mll_calls as u64,
-        retry_rounds: u64::from(traced_stats.retry_rounds),
-        stripes: traced_stats.stripes as u64,
-        conflicts: traced_stats.conflicts as u64,
-        residue: traced_stats.residue as u64,
-        fail_counts: traced_stats.fail_counts,
-        ..MetricsSummary::default()
-    };
-    metrics.ingest(&buf);
+    let metrics = ctx.stats.metrics_summary(design.name(), &ctx.sink);
     let metrics_json =
         Json::parse(&metrics.to_json_string()).expect("metrics summary emits parseable JSON");
 
@@ -541,7 +449,6 @@ fn full_report(
     );
     root.set("speedup", point.speedup);
     root.set("prune_ratio", *prune_ratio);
-    root.set("perf", perf_to_json(point.seq_perf.as_ref()));
     root.set("metrics", metrics_json);
     root
 }
@@ -597,7 +504,6 @@ fn run_sweep(
     threads: usize,
     available: usize,
     lcfg: &LegalizerConfig,
-    opts: RunOpts,
     json_path: Option<&str>,
     baseline: Option<&str>,
     gate_pct: f64,
@@ -616,7 +522,7 @@ fn run_sweep(
         let gen_start = std::time::Instant::now();
         let design = generate(&spec, &gen_cfg).expect("generate benchmark");
         let gen_s = gen_start.elapsed().as_secs_f64();
-        let point = single_point(&design, lcfg, seed, threads, full, opts);
+        let point = single_point(&design, lcfg, seed, threads, full);
         let rss = peak_rss_mb();
         if let Some(mb) = rss {
             println!("peak rss:   {mb:.0} MB after the {n}-cell point");
@@ -636,7 +542,6 @@ fn run_sweep(
             run_to_json(&design, &point.par_stats, &point.par_state),
         );
         entry.set("speedup", point.speedup);
-        entry.set("perf", perf_to_json(point.seq_perf.as_ref()));
         match rss {
             Some(mb) => entry.set("peak_rss_mb", mb),
             None => entry.set("peak_rss_mb", Json::Null),

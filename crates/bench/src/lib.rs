@@ -19,9 +19,7 @@
 //! faster, small HPWL impact, relaxation helping displacement — are
 //! reproduced. See `EXPERIMENTS.md` at the workspace root.
 
-// `deny` rather than `forbid`: the perf-counter module (src/perf.rs) holds
-// the crate's one `allow(unsafe_code)` for the raw `perf_event_open` FFI.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mrl_baselines::{AbacusLegalizer, IlpLegalizer, LocalSolver, TetrisLegalizer};
@@ -32,7 +30,6 @@ use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
 use std::time::Instant;
 
 pub mod json;
-pub mod perf;
 pub mod timer;
 
 use json::Json;

@@ -31,7 +31,7 @@ use mrl_db::{Design, PlacementState};
 use mrl_gp::{GlobalPlacer, GpConfig};
 use mrl_legalize::{
     refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeCtx, LegalizeStats, Legalizer,
-    LegalizerConfig, MetricsSummary, PowerRailMode, TraceBuf,
+    LegalizerConfig, PowerRailMode, TraceBuf,
 };
 use mrl_metrics::{
     check_legal, displacement_stats, hpwl_change, render_svg, RailCheck, SvgOptions,
@@ -281,29 +281,6 @@ fn stats_text(design: &Design) -> String {
         mrl_metrics::hpwl_of_input(design) * 1e-6
     );
     out
-}
-
-/// Builds the metrics digest of one legalization run from the driver stats
-/// and the collected trace.
-fn metrics_summary(design: &Design, stats: &LegalizeStats, buf: &TraceBuf) -> MetricsSummary {
-    let mut m = MetricsSummary {
-        design: design.name().to_string(),
-        threads: stats.threads,
-        wall: stats.wall,
-        phases: stats.phases,
-        placed: stats.placed as u64,
-        direct: stats.direct as u64,
-        via_mll: stats.via_mll as u64,
-        mll_calls: stats.mll_calls as u64,
-        retry_rounds: u64::from(stats.retry_rounds),
-        stripes: stats.stripes as u64,
-        conflicts: stats.conflicts as u64,
-        residue: stats.residue as u64,
-        fail_counts: stats.fail_counts,
-        ..MetricsSummary::default()
-    };
-    m.ingest(buf);
-    m
 }
 
 fn get_u64(json: &Json, section: &str, key: &str) -> u64 {
@@ -599,7 +576,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 let _ = writeln!(out, "wrote trace to {}", path.display());
             }
             if let Some(path) = &o.metrics_json {
-                let summary = metrics_summary(&design, &stats, &buf);
+                let summary = stats.metrics_summary(design.name(), &buf);
                 std::fs::write(path, summary.to_json_string())
                     .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
                 let _ = writeln!(out, "wrote metrics to {}", path.display());
@@ -980,6 +957,7 @@ commands:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrl_legalize::MetricsSummary;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mrl_cli_{tag}_{}", std::process::id()));
@@ -1011,6 +989,59 @@ mod tests {
         let legal = run(&args(&["legalize", "--aux", aux.to_str().unwrap()])).unwrap();
         assert!(legal.contains("legalized"));
         assert!(legal.contains("displacement"));
+    }
+
+    /// `--metrics-json` carries the escalation counters the text output
+    /// prints. des_perf_1 at 1/20 scale, seed 1, engages the ladder.
+    #[test]
+    fn metrics_json_escalation_counters_match_the_printed_line() {
+        let dir = tmpdir("esc_metrics");
+        let d = dir.to_str().unwrap();
+        run(&args(&[
+            "generate",
+            "--bench",
+            "des_perf_1",
+            "--scale",
+            "20",
+            "--seed",
+            "1",
+            "--out",
+            d,
+        ]))
+        .unwrap();
+        let aux = dir.join("des_perf_1.aux");
+        let metrics = dir.join("m.json");
+        let out = run(&args(&[
+            "legalize",
+            "--aux",
+            aux.to_str().unwrap(),
+            "--metrics-json",
+            metrics.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let printed = out
+            .lines()
+            .find(|l| l.starts_with("escalation: "))
+            .unwrap_or_else(|| panic!("the run should escalate:\n{out}"));
+        let json = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let c = |key: &str| get_u64(&json, "counters", key);
+        assert!(c("escalation_engaged") > 0);
+        let expected = format!(
+            "escalation: engaged {} times — ripple {} placed / {} rolled back ({} chains), \
+             repack {} placed ({} windows), ilp {} placed ({} solves);",
+            c("escalation_engaged"),
+            c("ripple_placed"),
+            c("ripple_rolled_back"),
+            c("ripple_chains"),
+            c("repack_placed"),
+            c("repack_windows"),
+            c("ilp_placed"),
+            c("ilp_solves"),
+        );
+        assert!(
+            printed.starts_with(&expected),
+            "printed: {printed}\njson:    {expected}"
+        );
     }
 
     #[test]

@@ -727,68 +727,6 @@ impl PlacementState {
         Ok(())
     }
 
-    /// Applies a batch of general displacements — row changes and removals
-    /// included — transactionally: either every listed cell ends up at its
-    /// requested destination (`Some(at)` = placed there, `None` = removed)
-    /// or the state is exactly as before the call.
-    ///
-    /// All listed cells are lifted out first, then the destinations are
-    /// placed, so moves within the batch never collide with each other —
-    /// the escalation tiers use this to rip up a subwindow in one call.
-    /// Destinations are validated for bounds, fences, and overlap, but
-    /// *not* rail parity; callers that need parity enforce it before
-    /// building the batch.
-    ///
-    /// # Errors
-    ///
-    /// * [`DbError::Invalid`] if a cell is listed twice.
-    /// * [`DbError::OutsideSegments`], [`DbError::FenceViolation`], or
-    ///   [`DbError::Overlap`] if a destination is not legal once every
-    ///   listed cell is lifted; the state is rolled back first.
-    pub fn displace_batch(
-        &mut self,
-        design: &Design,
-        moves: &[(CellId, Option<SitePoint>)],
-    ) -> Result<(), DbError> {
-        for (i, &(cell, _)) in moves.iter().enumerate() {
-            if moves[..i].iter().any(|&(c, _)| c == cell) {
-                return Err(DbError::Invalid(format!(
-                    "displace_batch lists cell {cell} twice"
-                )));
-            }
-        }
-        // Phase 1: lift. Infallible after the duplicate check (unplaced
-        // cells are recorded as `None` and simply skipped).
-        let mut undo = Vec::with_capacity(moves.len());
-        for &(cell, _) in moves {
-            let from = if self.is_placed(cell) {
-                Some(self.remove(design, cell).expect("checked placed"))
-            } else {
-                None
-            };
-            undo.push((cell, from));
-        }
-        // Phase 2: place destinations; on any failure undo everything.
-        for (i, &(cell, to)) in moves.iter().enumerate() {
-            let Some(at) = to else { continue };
-            if let Err(e) = self.place_ignoring_rails(design, cell, at) {
-                for &(c, t) in moves[..i].iter().rev() {
-                    if t.is_some() {
-                        self.remove(design, c).expect("placed in this phase");
-                    }
-                }
-                for &(c, from) in undo.iter().rev() {
-                    if let Some(at) = from {
-                        self.place_ignoring_rails(design, c, at)
-                            .expect("restoring the prior configuration");
-                    }
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// Ids and positions of all placed cells.
     pub fn iter_placed(&self) -> impl Iterator<Item = (CellId, SitePoint)> + '_ {
         self.pos
@@ -1054,101 +992,6 @@ mod tests {
         // The interleaved keys mirror the lists entry for entry.
         assert_eq!(s.segment_extents(seg0), &[(0, 3), (5, 7)]);
         assert_eq!(s.segment_extents(seg1), &[(5, 7)]);
-    }
-
-    #[test]
-    fn displace_batch_moves_across_rows_and_back() {
-        let (d, a, b, c, _) = fixture();
-        let mut s = PlacementState::new(&d);
-        s.place(&d, a, SitePoint::new(0, 0)).unwrap();
-        s.place(&d, b, SitePoint::new(5, 0)).unwrap();
-        s.place(&d, c, SitePoint::new(10, 0)).unwrap();
-        let before = s.snapshot();
-        // Swap a to row 3, remove b, leave c listed but in place.
-        s.displace_batch(
-            &d,
-            &[
-                (a, Some(SitePoint::new(0, 3))),
-                (b, None),
-                (c, Some(SitePoint::new(10, 0))),
-            ],
-        )
-        .unwrap();
-        assert_eq!(s.position(a), Some(SitePoint::new(0, 3)));
-        assert!(!s.is_placed(b));
-        assert_eq!(s.position(c), Some(SitePoint::new(10, 0)));
-        let back: Vec<_> = [a, b, c].iter().map(|&x| (x, before[x.index()])).collect();
-        s.displace_batch(&d, &back).unwrap();
-        assert_eq!(s.snapshot(), before);
-        // Segment lists reflect the restored configuration.
-        let seg0 = s.segment_at(&d, 0, 0).unwrap();
-        assert_eq!(s.segment_cells(seg0), &[a, b, c]);
-    }
-
-    #[test]
-    fn displace_batch_swaps_within_one_batch() {
-        let (d, a, _, c, _) = fixture();
-        let mut s = PlacementState::new(&d);
-        s.place(&d, a, SitePoint::new(0, 0)).unwrap();
-        s.place(&d, c, SitePoint::new(4, 0)).unwrap();
-        // a(3 wide) and c(4 wide) trade ends; as sequential moves either
-        // order would collide, but the batch lifts both first.
-        s.displace_batch(
-            &d,
-            &[
-                (a, Some(SitePoint::new(5, 0))),
-                (c, Some(SitePoint::new(0, 0))),
-            ],
-        )
-        .unwrap();
-        assert_eq!(s.position(a), Some(SitePoint::new(5, 0)));
-        assert_eq!(s.position(c), Some(SitePoint::new(0, 0)));
-    }
-
-    #[test]
-    fn displace_batch_failure_restores_everything() {
-        let (d, a, b, c, _) = fixture();
-        let mut s = PlacementState::new(&d);
-        s.place(&d, a, SitePoint::new(0, 0)).unwrap();
-        s.place(&d, b, SitePoint::new(5, 0)).unwrap();
-        s.place(&d, c, SitePoint::new(10, 0)).unwrap();
-        // b's destination overlaps c (untouched), so the batch must fail
-        // and leave the state exactly as it was — including a, whose own
-        // destination was fine and had already been applied.
-        let err = s
-            .displace_batch(
-                &d,
-                &[
-                    (a, Some(SitePoint::new(16, 2))),
-                    (b, Some(SitePoint::new(9, 0))),
-                ],
-            )
-            .unwrap_err();
-        assert!(matches!(err, DbError::Overlap { .. }), "{err}");
-        assert_eq!(s.position(a), Some(SitePoint::new(0, 0)));
-        assert_eq!(s.position(b), Some(SitePoint::new(5, 0)));
-        assert_eq!(s.position(c), Some(SitePoint::new(10, 0)));
-        let seg0 = s.segment_at(&d, 0, 0).unwrap();
-        assert_eq!(s.segment_cells(seg0), &[a, b, c]);
-        assert_eq!(s.segment_extents(seg0), &[(0, 3), (5, 7), (10, 14)]);
-    }
-
-    #[test]
-    fn displace_batch_rejects_duplicates() {
-        let (d, a, ..) = fixture();
-        let mut s = PlacementState::new(&d);
-        s.place(&d, a, SitePoint::new(0, 0)).unwrap();
-        let err = s
-            .displace_batch(
-                &d,
-                &[
-                    (a, Some(SitePoint::new(2, 0))),
-                    (a, Some(SitePoint::new(4, 0))),
-                ],
-            )
-            .unwrap_err();
-        assert!(matches!(err, DbError::Invalid(_)));
-        assert_eq!(s.position(a), Some(SitePoint::new(0, 0)));
     }
 
     #[test]
@@ -1491,9 +1334,10 @@ mod tests {
         s.remove(&d, a).unwrap(); // remove
         s.place(&d, c, SitePoint::new(12, 0)).unwrap(); // place
         s.shift_batch(&d, &[(b, 6)]).unwrap(); // shift
-        s.displace_batch(&d, &[(dd, Some(SitePoint::new(14, 1)))])
-            .unwrap(); // row move via remove+place
-                       // First-touch: each cell appears exactly once despite multiple moves.
+        s.remove(&d, dd).unwrap(); // row move: remove, then place
+        s.place_ignoring_rails(&d, dd, SitePoint::new(14, 2))
+            .unwrap();
+        // First-touch: each cell appears exactly once despite multiple moves.
         let mut ids: Vec<CellId> = s.journal(&sp).iter().map(|&(c, _)| c).collect();
         let n = ids.len();
         ids.sort();

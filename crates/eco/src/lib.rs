@@ -42,6 +42,7 @@
 //! assert!(stats.applied);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod server;

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use mrl_db::{CellId, DbError, Design, PlacementState, Savepoint};
 use mrl_geom::{PowerRail, SiteRect};
-use mrl_legalize::{LegalizeCtx, Legalizer, LegalizerConfig, ScratchArena, Sink, TraceBuf};
+use mrl_legalize::{LegalizeCtx, Legalizer, LegalizerConfig, ScratchArena};
 use mrl_metrics::{RailCheck, Violation};
 
 use crate::telemetry::{RejectReason, ServeTelemetry};
@@ -82,54 +82,27 @@ impl Edit {
 /// bit-exactly.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EditBatch {
-    /// Request id — also the trace lane the batch's spans land on.
+    /// Request id, echoed in the response.
     pub id: u64,
     /// The edits, applied in order.
     pub edits: Vec<Edit>,
 }
 
 /// Session-level knobs of the incremental engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EcoConfig {
-    /// Halo added around the union of old/new extents when reporting the
-    /// disturbed window, in (sites, rows). Defaults to the paper's MLL
-    /// window half-extents `(Rx, Ry)`.
-    pub halo: (i32, i32),
     /// Budget on the total Manhattan displacement (sites + rows) a batch
     /// may inflict on cells it does not name. Over-budget batches roll
     /// back and report rejection. `None` = unlimited; `Some(0)` rejects
     /// any batch that moves a neighbor at all (the rollback property
     /// test's forcing knob).
     pub max_induced_disp: Option<i64>,
-    /// Record per-batch trace spans on lane = request id (see
-    /// [`EcoSession::trace`]). Off by default: serving hot paths skip the
-    /// ring buffer entirely.
-    pub trace: bool,
-    /// Ring capacity per batch lane when tracing.
-    pub trace_capacity: usize,
-}
-
-impl Default for EcoConfig {
-    fn default() -> Self {
-        Self {
-            halo: (30, 5),
-            max_induced_disp: None,
-            trace: false,
-            trace_capacity: 1 << 12,
-        }
-    }
 }
 
 impl EcoConfig {
     /// Returns `self` with the induced-displacement budget replaced.
     pub fn with_max_induced_disp(mut self, budget: Option<i64>) -> Self {
         self.max_induced_disp = budget;
-        self
-    }
-
-    /// Returns `self` with per-batch tracing switched on or off.
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 }
@@ -193,7 +166,8 @@ pub struct BatchStats {
     /// batch did not name.
     pub induced_disp: i64,
     /// Disturbed window: union of old/new extents of the edited cells
-    /// plus the halo, clipped to the floorplan, as `(x, y, w, h)`.
+    /// grown by the legalizer's MLL window half-extents `(Rx, Ry)`, clipped
+    /// to the floorplan, as `(x, y, w, h)`.
     pub window: (i32, i32, i32, i32),
     /// MLL invocations while re-legalizing.
     pub mll_calls: usize,
@@ -227,7 +201,6 @@ pub struct EcoSession {
     legalizer: Legalizer,
     cfg: EcoConfig,
     arena: ScratchArena,
-    trace: TraceBuf,
     deleted: Vec<bool>,
     deleted_count: usize,
     batches_applied: u64,
@@ -246,7 +219,6 @@ impl EcoSession {
         cfg: EcoConfig,
     ) -> Self {
         let deleted = vec![false; design.num_cells()];
-        let trace_cap = cfg.trace_capacity;
         let telemetry = Arc::new(ServeTelemetry::new());
         let session = Self {
             design,
@@ -254,7 +226,6 @@ impl EcoSession {
             legalizer: Legalizer::new(legalizer),
             cfg,
             arena: ScratchArena::new(),
-            trace: TraceBuf::new(trace_cap),
             deleted,
             deleted_count: 0,
             batches_applied: 0,
@@ -284,12 +255,6 @@ impl EcoSession {
     /// The session configuration.
     pub fn config(&self) -> &EcoConfig {
         &self.cfg
-    }
-
-    /// Per-batch trace spans (lane = request id), populated when
-    /// [`EcoConfig::trace`] is on.
-    pub fn trace(&self) -> &TraceBuf {
-        &self.trace
     }
 
     /// True if the cell was deleted by a committed batch.
@@ -351,19 +316,10 @@ impl EcoSession {
         batch: &EditBatch,
         budget: Option<i64>,
     ) -> Result<BatchStats, EcoError> {
-        let arena = std::mem::take(&mut self.arena);
-        let (result, arena) = if self.cfg.trace {
-            let mut ctx = LegalizeCtx::with_sink(self.trace.lane(batch.id as u32));
-            ctx.arena = arena;
-            let result = self.apply_inner(batch, budget, &mut ctx);
-            self.trace.absorb(ctx.sink);
-            (result, ctx.arena)
-        } else {
-            let mut ctx = LegalizeCtx::new();
-            ctx.arena = arena;
-            (self.apply_inner(batch, budget, &mut ctx), ctx.arena)
-        };
-        self.arena = arena;
+        let mut ctx = LegalizeCtx::new();
+        ctx.arena = std::mem::take(&mut self.arena);
+        let result = self.apply_inner(batch, budget, &mut ctx);
+        self.arena = ctx.arena;
         if let Err(e) = &result {
             self.telemetry.batches_error.inc();
             match e {
@@ -426,11 +382,11 @@ impl EcoSession {
         Ok(())
     }
 
-    fn apply_inner<S: Sink>(
+    fn apply_inner(
         &mut self,
         batch: &EditBatch,
         budget: Option<i64>,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
     ) -> Result<BatchStats, EcoError> {
         let wall = Instant::now();
         for edit in &batch.edits {
@@ -582,6 +538,8 @@ impl EcoSession {
 
         // Phase 4: commit, or roll back bit-exactly.
         let relegalized = relegalize.len();
+        let cfg = self.legalizer.config();
+        let window = window.with_halo_clipped(&self.design, (cfg.rx, cfg.ry));
         // Journal depth before commit/rollback closes the savepoint: the
         // batch's true disturbance footprint, whichever way it resolves.
         let journal_depth = self.state.journal(&sp).len();
@@ -598,7 +556,7 @@ impl EcoSession {
                 touched: 0,
                 moved: 0,
                 induced_disp: 0,
-                window: window.with_halo_clipped(&self.design, self.cfg.halo),
+                window,
                 mll_calls: lstats.mll_calls,
                 retry_rounds: lstats.retry_rounds,
                 escalations: lstats.escalation.engaged,
@@ -632,7 +590,7 @@ impl EcoSession {
                 touched: journal_depth,
                 moved,
                 induced_disp: induced,
-                window: window.with_halo_clipped(&self.design, self.cfg.halo),
+                window,
                 mll_calls: lstats.mll_calls,
                 retry_rounds: lstats.retry_rounds,
                 escalations: lstats.escalation.engaged,

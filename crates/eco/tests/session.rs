@@ -1,8 +1,8 @@
 //! End-to-end session behavior over synthesized witnesses: legality after
-//! commits, bit-exact state after rollbacks, tombstone semantics, trace
-//! lanes.
+//! commits, bit-exact state after rollbacks, tombstone semantics, the
+//! reported window.
 
-use mrl_db::{CellId, Design, PlacementState, SegId};
+use mrl_db::{CellId, Design, DesignBuilder, PlacementState, SegId};
 use mrl_eco::{EcoConfig, EcoError, EcoSession, Edit, EditBatch};
 use mrl_geom::PowerRail;
 use mrl_legalize::{Legalizer, LegalizerConfig};
@@ -249,37 +249,30 @@ fn infeasible_resize_rolls_back_width_and_positions() {
     assert_states_identical(&design_before, &state_before, session.state());
 }
 
+/// The reported window grows the edited extents by the legalizer's own
+/// MLL window `(Rx, Ry)`, whatever the session was configured with.
 #[test]
-fn trace_lanes_carry_request_ids() {
-    let mut session = {
-        let witness = generate_witness(&WitnessConfig::new(18).with_cells(60)).expect("witness");
-        let design = witness.design;
-        let cfg = LegalizerConfig::default();
-        let mut state = PlacementState::new(&design);
-        Legalizer::new(cfg.clone())
-            .legalize(&design, &mut state)
-            .expect("legalize");
-        EcoSession::new(design, state, cfg, EcoConfig::default().with_trace(true))
-    };
-    for id in [7u64, 9u64] {
-        let cell = first_movable(&session);
-        let (x, y) = session.design().input_position(cell);
-        session
-            .apply_batch(&EditBatch {
-                id,
-                edits: vec![Edit::Move {
-                    cell,
-                    x: x + 1.0,
-                    y,
-                }],
-            })
-            .expect("apply");
-    }
-    let lanes: Vec<u32> = session.trace().events().iter().map(|(l, _)| *l).collect();
-    assert!(!lanes.is_empty(), "tracing enabled but no events recorded");
-    assert!(lanes.contains(&7), "lane 7 missing: {lanes:?}");
-    assert!(lanes.contains(&9), "lane 9 missing: {lanes:?}");
-    assert!(lanes.iter().all(|l| *l == 7 || *l == 9));
+fn batch_window_grows_by_the_legalizer_window() {
+    let design = DesignBuilder::new(20, 200).finish().expect("empty design");
+    let state = PlacementState::new(&design);
+    let cfg = LegalizerConfig::default().with_window(10, 2);
+    let mut session = EcoSession::new(design, state, cfg, EcoConfig::default());
+    let stats = session
+        .apply_batch(&EditBatch {
+            id: 1,
+            edits: vec![Edit::Insert {
+                name: "buf".to_string(),
+                width: 2,
+                height: 1,
+                rail: PowerRail::Vdd,
+                x: 60.0,
+                y: 5.0,
+            }],
+        })
+        .expect("apply");
+    assert!(stats.applied);
+    // The inserted footprint [60, 62) x [5, 6), grown by (10, 2).
+    assert_eq!(stats.window, (50, 3, 22, 5));
 }
 
 #[test]

@@ -17,6 +17,8 @@
 //! corpus directory as a Bookshelf reproducer that `tests/corpus.rs`
 //! replays forever after.
 
+#![forbid(unsafe_code)]
+
 pub mod eco;
 pub mod matrix;
 pub mod scenario;

@@ -69,12 +69,10 @@ pub struct MatrixOptions {
     pub order: CellOrder,
     /// Whether to run the Abacus/Tetris baselines.
     pub baselines: bool,
-    /// Optional injected fault (harness self-test only).
+    /// Optional injected fault (harness self-test only). Every tier of the
+    /// escalation ladder is on unless [`Fault::TiersDisabled`] switches
+    /// them off; the dense regime is heuristic-complete only with them on.
     pub fault: Option<Fault>,
-    /// Escalation ladder handed to every legalizer config in the matrix.
-    /// Enabled by default — the dense regime is only heuristic-complete
-    /// with the tiers engaged; [`Fault::TiersDisabled`] overrides this.
-    pub escalation: EscalationConfig,
 }
 
 impl MatrixOptions {
@@ -89,7 +87,6 @@ impl MatrixOptions {
             order: CellOrder::ByAreaDesc,
             baselines: true,
             fault: None,
-            escalation: EscalationConfig::default(),
         }
     }
 }
@@ -204,7 +201,7 @@ pub(crate) fn base_config(opts: &MatrixOptions) -> LegalizerConfig {
     let escalation = if opts.fault == Some(Fault::TiersDisabled) {
         EscalationConfig::disabled()
     } else {
-        opts.escalation
+        EscalationConfig::default()
     };
     LegalizerConfig::paper()
         .with_seed(opts.legalizer_seed)

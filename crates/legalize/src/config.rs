@@ -51,7 +51,7 @@ pub enum CellOrder {
     Shuffled,
 }
 
-/// Tuning knobs of the escalation ladder that engages when the MLL +
+/// Switches of the escalation ladder that engages when the MLL +
 /// random-offset retry loop keeps failing a cell (ROADMAP item 1: break
 /// the 0.78-utilization ceiling).
 ///
@@ -66,83 +66,44 @@ pub enum CellOrder {
 /// 3. **ILP-local** — a window MILP on an enlarged frozen neighborhood
 ///    for the last residue cells.
 ///
-/// All tiers are RNG-free and run from the deterministic retry loop, so
-/// the pipeline stays bit-identical across thread counts.
+/// The engagement period, chain depth, window scales and population caps
+/// are fixed constants of the ladder (DESIGN.md §10). All tiers are
+/// RNG-free and run from the deterministic retry loop, so the pipeline
+/// stays bit-identical across thread counts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EscalationConfig {
-    /// Master switch. When `false`, the retry loop behaves exactly as it
-    /// did before escalation existed (bit-identical output).
-    pub enabled: bool,
-    /// Retry round at which the ladder first engages for still-failing
-    /// cells, and the period at which it re-engages afterwards. Small
-    /// enough that dense designs escalate before the random offsets
-    /// saturate the floorplan, large enough that easy cells never pay
-    /// for it.
-    pub after_rounds: u32,
     /// Tier 1 switch.
     pub ripple: bool,
-    /// Maximum ripple chain depth (1 = displace direct victims only).
-    pub ripple_depth: u32,
-    /// Victim candidates considered per chain link.
-    pub ripple_candidates: usize,
     /// Budget on the total Manhattan displacement (sites + rows) a chain
     /// may inflict on already-placed cells; chains over budget roll back.
     pub ripple_max_disp: i64,
     /// Tier 2 switch.
     pub repack: bool,
-    /// Subwindow scale for the repack, as a multiple of (`rx`, `ry`).
-    pub repack_scale: i32,
-    /// Skip repack when the subwindow holds more placed cells than this
-    /// (rip-up cost is quadratic-ish in window population).
-    pub repack_max_cells: usize,
     /// Tier 3 switch.
     pub ilp: bool,
-    /// Window scale for the ILP neighborhood, as a multiple of
-    /// (`rx`, `ry`).
-    pub ilp_scale: i32,
-    /// Skip the MILP when the enlarged region holds more cells than this
-    /// (keeps the branch-and-bound over disjunction binaries tractable).
-    pub ilp_max_cells: usize,
 }
 
 impl Default for EscalationConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
-            after_rounds: 8,
             ripple: true,
-            ripple_depth: 2,
-            ripple_candidates: 8,
             ripple_max_disp: 70,
             repack: true,
-            repack_scale: 2,
-            repack_max_cells: 48,
             ilp: true,
-            ilp_scale: 2,
-            ilp_max_cells: 64,
         }
     }
 }
 
 impl EscalationConfig {
-    /// A fully disabled ladder: the retry loop is byte-for-byte the
+    /// A ladder with every tier off: the retry loop is byte-for-byte the
     /// pre-escalation algorithm.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self::default().with_tiers(false, false, false)
     }
 
     /// Whether any tier can run.
     pub const fn engages(&self) -> bool {
-        self.enabled && (self.ripple || self.repack || self.ilp)
-    }
-
-    /// Returns `self` with the engagement round/period replaced.
-    pub fn with_after_rounds(mut self, after_rounds: u32) -> Self {
-        self.after_rounds = after_rounds.max(1);
-        self
+        self.ripple || self.repack || self.ilp
     }
 
     /// Returns `self` with individual tiers switched on or off.
@@ -162,13 +123,16 @@ impl EscalationConfig {
 
 impl fmt::Display for EscalationConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.enabled {
+        if !self.engages() {
             return write!(f, "off");
         }
         write!(
             f,
             "after={} ripple={} repack={} ilp={}",
-            self.after_rounds, self.ripple, self.repack, self.ilp
+            crate::escalate::AFTER_ROUNDS,
+            self.ripple,
+            self.repack,
+            self.ilp
         )
     }
 }
@@ -195,10 +159,6 @@ pub struct LegalizerConfig {
     /// paper loops until success; a bound keeps pathological inputs from
     /// hanging and is never reached on sane densities.
     pub max_retry_iters: u32,
-    /// Safety cap on insertion points examined per MLL call; `usize::MAX`
-    /// disables the cap. Only very tall targets in dense regions can hit
-    /// combinatorial blow-up.
-    pub max_insertion_points: usize,
     /// Best-first branch-and-bound pruning of the insertion-point search
     /// (on by default). When disabled, every generated combination is
     /// scored exhaustively in scanline order; both modes return the same
@@ -206,8 +166,8 @@ pub struct LegalizerConfig {
     /// this knob only trades evaluation work for a bound computation.
     pub prune: bool,
     /// Escalation ladder engaged when the retry loop keeps failing a cell
-    /// (enabled by default; [`EscalationConfig::disabled`] restores the
-    /// pre-escalation retry loop bit-for-bit).
+    /// (every tier on by default; [`EscalationConfig::disabled`] restores
+    /// the pre-escalation retry loop bit-for-bit).
     pub escalation: EscalationConfig,
 }
 
@@ -221,7 +181,6 @@ impl Default for LegalizerConfig {
             order: CellOrder::Input,
             seed: 0x9E37_79B9_7F4A_7C15,
             max_retry_iters: 4096,
-            max_insertion_points: usize::MAX,
             prune: true,
             escalation: EscalationConfig::default(),
         }
@@ -349,15 +308,13 @@ mod tests {
     #[test]
     fn escalation_defaults_and_switches() {
         let e = EscalationConfig::default();
-        assert!(e.enabled && e.ripple && e.repack && e.ilp);
+        assert!(e.ripple && e.repack && e.ilp);
         assert!(e.engages());
         assert!(!EscalationConfig::disabled().engages());
-        assert!(!e.with_tiers(false, false, false).engages());
+        assert!(e.with_tiers(false, false, true).engages());
         assert_eq!(EscalationConfig::disabled().to_string(), "off");
-        // The period floor: 0 would divide-by-zero the engagement check.
-        assert_eq!(e.with_after_rounds(0).after_rounds, 1);
         let c = LegalizerConfig::default().with_escalation(EscalationConfig::disabled());
-        assert!(!c.escalation.enabled);
+        assert!(!c.escalation.engages());
         assert!(c.to_string().contains("escalation=[off]"));
     }
 }

@@ -95,7 +95,6 @@ pub fn enumerate_insertion_points(
     generate(
         region,
         target,
-        cfg,
         intervals,
         events,
         rail_ok,
@@ -227,14 +226,12 @@ fn prepare(
 }
 
 /// The scanline core: invokes `emit(t, interval_ids)` for every valid
-/// insertion point in deterministic emission order, up to the configured
-/// cap on *generated* combinations (identical for both search strategies,
-/// so they search the same candidate set).
+/// insertion point in deterministic emission order (identical for both
+/// search strategies, so they search the same candidate set).
 #[allow(clippy::too_many_arguments)]
 fn generate<F>(
     region: &LocalRegion,
     target: &TargetSpec,
-    cfg: &LegalizerConfig,
     intervals: &[InsInterval],
     events: &[ScanEvent],
     rail_ok: &[bool],
@@ -256,8 +253,7 @@ fn generate<F>(
     let pair_lo = |a: usize| a.saturating_sub(ht - 1);
     let pair_hi = |a: usize| (a + ht - 1).min(hw - 1);
 
-    let mut emitted = 0usize;
-    'events: for ev in events {
+    for ev in events {
         let iv = &intervals[ev.idx as usize];
         let a = iv.row;
         if ev.close {
@@ -287,10 +283,6 @@ fn generate<F>(
                 combo.clear();
                 combo.push(ev.idx);
                 emit(a, combo);
-                emitted += 1;
-                if emitted >= cfg.max_insertion_points {
-                    break 'events;
-                }
             }
         } else {
             let t_lo = a.saturating_sub(ht - 1);
@@ -302,23 +294,9 @@ fn generate<F>(
                 }
                 // Depth-first product over rows t..t+ht.
                 combo.clear();
-                if !product_emit(
-                    region,
-                    cfg,
-                    intervals,
-                    queues,
-                    hw,
-                    ev.idx,
-                    a,
-                    t,
-                    ht,
-                    t,
-                    combo,
-                    &mut emitted,
-                    emit,
-                ) {
-                    break 'events;
-                }
+                product_emit(
+                    region, intervals, queues, hw, ev.idx, a, t, ht, t, combo, emit,
+                );
             }
         }
         // (3) Publish the interval for future pairings.
@@ -331,11 +309,10 @@ fn generate<F>(
 }
 
 /// Emits all combinations for one window `t` (recursing over rows
-/// `s = t..t+ht`); returns `false` when the cap is hit.
+/// `s = t..t+ht`).
 #[allow(clippy::too_many_arguments)]
 fn product_emit<F>(
     region: &LocalRegion,
-    cfg: &LegalizerConfig,
     intervals: &[InsInterval],
     queues: &[Vec<u32>],
     hw: usize,
@@ -345,10 +322,8 @@ fn product_emit<F>(
     ht: usize,
     s: usize,
     combo: &mut Vec<u32>,
-    emitted: &mut usize,
     emit: &mut F,
-) -> bool
-where
+) where
     F: FnMut(usize, &[u32]),
 {
     if s == t + ht {
@@ -357,38 +332,22 @@ where
         // h ≤ 2. For taller targets a pair of *other* rows can still
         // straddle a multi-row cell (e.g. rows 1/2 of a 3-row window
         // generated from row 3), so verify explicitly.
-        if ht >= 3 && !combo_is_side_consistent(region, intervals, combo) {
-            return true;
+        if ht < 3 || combo_is_side_consistent(region, intervals, combo) {
+            emit(t, combo);
         }
-        emit(t, combo);
-        *emitted += 1;
-        return *emitted < cfg.max_insertion_points;
+        return;
     }
-    if s == a {
-        combo.push(current);
-        let go = product_emit(
-            region,
-            cfg,
-            intervals,
-            queues,
-            hw,
-            current,
-            a,
-            t,
-            ht,
-            s + 1,
-            combo,
-            emitted,
-            emit,
-        );
-        combo.pop();
-        return go;
-    }
-    for &j in &queues[a * hw + s] {
+    // Row `a` holds the generating interval; every other row takes each
+    // open interval of its queue in turn.
+    let choices: &[u32] = if s == a {
+        std::slice::from_ref(&current)
+    } else {
+        &queues[a * hw + s]
+    };
+    for &j in choices {
         combo.push(j);
-        let go = product_emit(
+        product_emit(
             region,
-            cfg,
             intervals,
             queues,
             hw,
@@ -398,15 +357,10 @@ where
             ht,
             s + 1,
             combo,
-            emitted,
             emit,
         );
         combo.pop();
-        if !go {
-            return false;
-        }
     }
-    true
 }
 
 /// Exhaustive search: score every generated combination in emission order;
@@ -432,7 +386,6 @@ fn exhaustive<S: Sink>(
     generate(
         region,
         target,
-        cfg,
         intervals,
         events,
         rail_ok,
@@ -502,7 +455,6 @@ fn best_first<S: Sink>(
     generate(
         region,
         target,
-        cfg,
         intervals,
         events,
         rail_ok,
@@ -807,16 +759,6 @@ mod tests {
         let (region, _, design) = setup(2, 10, &[]);
         let t = target(2, 3, 0, 0);
         assert!(enumerate_insertion_points(&region, &design, &t, &relaxed()).is_empty());
-    }
-
-    #[test]
-    fn cap_limits_emissions() {
-        let (region, _, design) = setup(1, 30, &[(2, 1, 5, 0), (2, 1, 10, 0), (2, 1, 15, 0)]);
-        let t = target(2, 1, 8, 0);
-        let mut cfg = relaxed();
-        cfg.max_insertion_points = 2;
-        let pts = enumerate_insertion_points(&region, &design, &t, &cfg);
-        assert_eq!(pts.len(), 2);
     }
 
     #[test]

@@ -4,17 +4,17 @@
 //! The retry loop perturbs the *target* cell and re-runs MLL; at high
 //! utilization the window around every perturbed position is often locally
 //! full while capacity exists a few moves away. The ladder here engages for
-//! a cell that keeps failing ([`crate::EscalationConfig::after_rounds`])
-//! and spends increasing effort per tier:
+//! a cell that keeps failing (every [`AFTER_ROUNDS`] retry rounds) and
+//! spends increasing effort per tier:
 //!
 //! 1. **Ripple chains** ([`Legalizer::tier1_ripple`]): displace an
 //!    already-placed victim to free the target's window, then re-place the
-//!    victim — recursively displacing at most
-//!    [`crate::EscalationConfig::ripple_depth`] cells. The whole chain runs
-//!    inside one nested [`mrl_db::Savepoint`]: its journal is both the
-//!    displacement meter for the ripple budget and the rollback plan, so
-//!    the chain either commits with a bounded total displacement or rolls
-//!    back, leaving the placement logically identical.
+//!    victim — recursively displacing at most [`RIPPLE_DEPTH`] cells. The
+//!    whole chain runs inside one nested [`mrl_db::Savepoint`]: its
+//!    journal is both the displacement meter for the ripple budget and the
+//!    rollback plan, so the chain either commits with a bounded total
+//!    displacement or rolls back, leaving the placement logically
+//!    identical.
 //! 2. **Height-binned repack** ([`Legalizer::tier2_repack`]): rip up every
 //!    cell in a scaled subwindow and re-insert them per height class,
 //!    tallest first — the `MultirowAbacus` discipline, which stops short
@@ -33,9 +33,12 @@
 //! within the same halo radius the stripe scheduler already assumes —
 //! escalation never runs inside stripes regardless, only in the residue
 //! pass.
+//!
+//! The switches and the ripple budget are [`crate::EscalationConfig`]; the
+//! sizes below are constants, because no caller varies them.
 
 use crate::config::LegalizerConfig;
-use crate::legalizer::{LegalizeCtx, LegalizeError, Legalizer};
+use crate::legalizer::{place_cell, LegalizeCtx, LegalizeError, Legalizer};
 use crate::mll::mll;
 use crate::region::LocalRegion;
 use mrl_db::{CellId, Design, PlacementState, Savepoint};
@@ -45,6 +48,26 @@ use mrl_trace::{Phase, Sink};
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
+/// Retry round at which the ladder first engages for a still-failing cell,
+/// and the period at which it re-engages: late enough that easy cells never
+/// pay for it, early enough that dense designs escalate before the random
+/// offsets saturate the floorplan.
+pub(crate) const AFTER_ROUNDS: u32 = 8;
+/// Maximum ripple chain length in displaced cells (1 = direct victims only).
+const RIPPLE_DEPTH: u32 = 2;
+/// Victim candidates tried per ripple engagement.
+const RIPPLE_CANDIDATES: usize = 8;
+/// Repack subwindow half-extents, as a multiple of (`rx`, `ry`).
+const REPACK_SCALE: i32 = 2;
+/// A repack skips subwindows holding more placed cells than this (rip-up
+/// cost grows quadratically-ish with the window population).
+const REPACK_MAX_CELLS: usize = 48;
+/// ILP neighborhood half-extents, as a multiple of (`rx`, `ry`).
+const ILP_SCALE: i32 = 2;
+/// The ILP tier skips regions holding more cells than this, which keeps
+/// the branch-and-bound over disjunction binaries tractable.
+const ILP_MAX_CELLS: usize = 64;
+
 impl Legalizer {
     /// Runs the escalation ladder for one unplaced cell at its snapped
     /// input position, regardless of the engagement schedule. Returns
@@ -52,9 +75,9 @@ impl Legalizer {
     /// logically identical to entry (every displaced cell restored).
     /// `round` is diagnostic (stamped into trace records).
     ///
-    /// The retry loop calls this automatically every
-    /// [`crate::EscalationConfig::after_rounds`] rounds; it is public so
-    /// harnesses can drive and property-test individual tiers.
+    /// The retry loop calls this automatically every 8th round of a cell
+    /// it keeps failing; it is public so harnesses can drive and
+    /// property-test individual tiers.
     ///
     /// # Errors
     ///
@@ -103,15 +126,15 @@ impl Legalizer {
         }
         if e.ilp {
             ctx.stats.escalation.ilp_solves += 1;
-            let rx = self.config().rx * e.ilp_scale;
-            let ry = self.config().ry * e.ilp_scale;
+            let rx = self.config().rx * ILP_SCALE;
+            let ry = self.config().ry * ILP_SCALE;
             if ilp_place_window(
                 design,
                 state,
                 self.config(),
                 rx,
                 ry,
-                Some(e.ilp_max_cells),
+                Some(ILP_MAX_CELLS),
                 cell,
                 pos,
             )? {
@@ -137,14 +160,14 @@ impl Legalizer {
         ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
-        let e = self.config().escalation;
+        let max_disp = self.config().escalation.ripple_max_disp;
         let first = victim_candidates(
             design,
             state,
             self.config(),
             target,
             pos,
-            e.ripple_candidates,
+            RIPPLE_CANDIDATES,
             &[target],
         );
         for victim in first {
@@ -163,7 +186,7 @@ impl Legalizer {
                 }
             };
             let within_budget =
-                done && induced_disp(state, &sp, target).is_some_and(|d| d <= e.ripple_max_disp);
+                done && induced_disp(state, &sp, target).is_some_and(|d| d <= max_disp);
             if within_budget {
                 state.release(sp);
                 ctx.stats.escalation.ripple_placed += 1;
@@ -177,7 +200,7 @@ impl Legalizer {
 
     /// The rest of one greedy chain once `victim` made room for `target`:
     /// drain the queue of displaced cells — re-placing each at its old
-    /// position, displacing at most `ripple_depth` cells in total. Returns
+    /// position, displacing at most [`RIPPLE_DEPTH`] cells in total. Returns
     /// whether every cell ended up placed (the caller checks the budget and
     /// rolls back on failure).
     fn drain_chain<S: Sink>(
@@ -189,7 +212,6 @@ impl Legalizer {
         ctx: &mut LegalizeCtx<S>,
         round: u32,
     ) -> Result<bool, LegalizeError> {
-        let e = self.config().escalation;
         let mut visited = vec![target, victim.0];
         let mut queue = VecDeque::from([victim]);
         let mut links = 1u32;
@@ -197,7 +219,7 @@ impl Legalizer {
             if self.chain_place(design, state, cell, back_at, ctx, round)? {
                 continue;
             }
-            if links >= e.ripple_depth {
+            if links >= RIPPLE_DEPTH {
                 return Ok(false);
             }
             // Displace the nearest unvisited neighbour and retry once.
@@ -231,26 +253,27 @@ impl Legalizer {
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let cfg = self.config();
-        let e = cfg.escalation;
         let c = design.cell(target);
-        let (sx, sy) = (cfg.rx * e.repack_scale, cfg.ry * e.repack_scale);
+        let (sx, sy) = (cfg.rx * REPACK_SCALE, cfg.ry * REPACK_SCALE);
         let win = SiteRect::new(
             pos.x - sx,
             pos.y - sy,
             2 * sx + c.width(),
             2 * sy + c.height(),
         );
-        let victims = cells_fully_inside(design, state, win);
-        if victims.is_empty() || victims.len() > e.repack_max_cells {
+        let mut items = cells_fully_inside(design, state, win);
+        if items.is_empty() || items.len() > REPACK_MAX_CELLS {
             return Ok(false);
         }
         ctx.stats.escalation.repack_windows += 1;
-        let rip: Vec<(CellId, Option<SitePoint>)> =
-            victims.iter().map(|&(v, _)| (v, None)).collect();
-        let mut items = victims;
-        items.push((target, pos));
+        // Rip up inside the tier's savepoint, so a failed repack rolls the
+        // removals back with everything else.
         let sp = state.savepoint();
-        let packed = match state.displace_batch(design, &rip) {
+        let ripped = items
+            .iter()
+            .try_for_each(|&(v, _)| state.remove(design, v).map(drop));
+        items.push((target, pos));
+        let packed = match ripped {
             Ok(()) => self.place_tallest_first(design, state, items, ctx, round),
             Err(err) => Err(err.into()),
         };
@@ -313,12 +336,7 @@ impl Legalizer {
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let cfg = self.config();
-        let direct = if cfg.rail_mode.is_aligned() {
-            state.place(design, cell, at)
-        } else {
-            state.place_ignoring_rails(design, cell, at)
-        };
-        if direct.is_ok() {
+        if place_cell(cfg, design, state, cell, at).is_ok() {
             return Ok(true);
         }
         ctx.stats.mll_calls += 1;
@@ -495,12 +513,7 @@ pub fn ilp_place_window(
         .shift_batch(design, &moves)
         .map_err(LegalizeError::Db)?;
     let at = SitePoint::new(xt, region.bottom_row + t as i32);
-    let placed = if cfg.rail_mode.is_aligned() {
-        state.place(design, target, at)
-    } else {
-        state.place_ignoring_rails(design, target, at)
-    };
-    placed.map_err(LegalizeError::Db)?;
+    place_cell(cfg, design, state, target, at)?;
     Ok(true)
 }
 

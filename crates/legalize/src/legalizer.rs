@@ -12,13 +12,14 @@
 //! [`Legalizer::legalize_parallel`] build one themselves.
 
 use crate::config::{CellOrder, LegalizerConfig};
+use crate::escalate::AFTER_ROUNDS;
 use crate::mll::mll;
 use crate::scratch::ScratchArena;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
 use mrl_trace::{
-    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, NoopSink, Phase,
-    PhaseTimes, Sink,
+    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, MetricsSummary,
+    NoopSink, Phase, PhaseTimes, Sink, TraceBuf,
 };
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -66,6 +67,49 @@ pub struct LegalizeStats {
     /// [`crate::EscalationConfig`]). All zero when escalation never
     /// engaged.
     pub escalation: EscalationCounters,
+}
+
+impl LegalizeStats {
+    /// The metrics digest of this run (`--metrics-json`, the bench
+    /// report): every counter here plus the histograms folded from the
+    /// run's `trace`.
+    pub fn metrics_summary(&self, design: &str, trace: &TraceBuf) -> MetricsSummary {
+        let mut m = MetricsSummary {
+            design: design.to_string(),
+            threads: self.threads,
+            wall: self.wall,
+            phases: self.phases,
+            placed: self.placed as u64,
+            direct: self.direct as u64,
+            via_mll: self.via_mll as u64,
+            mll_calls: self.mll_calls as u64,
+            retry_rounds: u64::from(self.retry_rounds),
+            stripes: self.stripes as u64,
+            conflicts: self.conflicts as u64,
+            residue: self.residue as u64,
+            fail_counts: self.fail_counts,
+            escalation: self.escalation,
+            ..MetricsSummary::default()
+        };
+        m.ingest(trace);
+        m
+    }
+}
+
+/// Places `cell` at `at`, checking rail parity only when `cfg` aligns
+/// rails — the one placement rule every driver and tier shares.
+pub(crate) fn place_cell(
+    cfg: &LegalizerConfig,
+    design: &Design,
+    state: &mut PlacementState,
+    cell: CellId,
+    at: SitePoint,
+) -> Result<(), DbError> {
+    if cfg.rail_mode.is_aligned() {
+        state.place(design, cell, at)
+    } else {
+        state.place_ignoring_rails(design, cell, at)
+    }
 }
 
 /// The working context of one legalizer run: the thread's scratch arena,
@@ -250,12 +294,7 @@ impl Legalizer {
         round: u32,
     ) -> Result<Option<FailReason>, LegalizeError> {
         let pos = self.snap(design, cell, at.0, at.1);
-        let direct = if self.cfg.rail_mode.is_aligned() {
-            state.place(design, cell, pos)
-        } else {
-            state.place_ignoring_rails(design, cell, pos)
-        };
-        match direct {
+        match place_cell(&self.cfg, design, state, cell, pos) {
             Ok(()) => {
                 ctx.stats.direct += 1;
                 ctx.stats.placed += 1;
@@ -478,15 +517,13 @@ impl Legalizer {
                 match self.try_place(design, state, cell, (fx + dx, fy + dy), ctx, k) {
                     Ok(None) => {}
                     Ok(Some(reason)) => {
-                        // Escalation ladder: engage every `after_rounds`-th
+                        // Escalation ladder: engage every `AFTER_ROUNDS`-th
                         // round, *after* the normal random-offset attempt so
                         // the RNG stream stays aligned with escalation-off
                         // runs (bit-identical behavior below the engagement
                         // threshold).
-                        let esc = &self.cfg.escalation;
-                        let engage = esc.engages()
-                            && k >= esc.after_rounds
-                            && k.is_multiple_of(esc.after_rounds);
+                        let engage =
+                            self.cfg.escalation.engages() && k.is_multiple_of(AFTER_ROUNDS);
                         let escalated = if engage {
                             self.escalate_cell(design, state, cell, ctx, k)
                         } else {

@@ -4,7 +4,7 @@
 use crate::config::LegalizerConfig;
 use crate::enumerate::find_best_insertion_point;
 use crate::evaluate::{Evaluation, TargetSpec};
-use crate::legalizer::LegalizeCtx;
+use crate::legalizer::{place_cell, LegalizeCtx};
 use crate::realize::realize;
 use crate::region::LocalRegion;
 use mrl_db::{CellId, DbError, Design, PlacementState};
@@ -122,11 +122,7 @@ pub fn mll<S: Sink>(
     let realization = realize(&region, &point, &spec);
     state.shift_batch(design, &realization.moves)?;
     let at = SitePoint::new(realization.target_x, realization.target_row);
-    if cfg.rail_mode.is_aligned() {
-        state.place(design, target, at)?;
-    } else {
-        state.place_ignoring_rails(design, target, at)?;
-    }
+    place_cell(cfg, design, state, target, at)?;
     if S::ENABLED {
         ctx.sink.end(Phase::Realize);
         let rec = attempt(

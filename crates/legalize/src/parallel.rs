@@ -37,7 +37,7 @@
 //! only for the `Shuffled` cell order and the sequential retry loop, both
 //! of which are independent of the thread count.
 
-use crate::legalizer::{LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
+use crate::legalizer::{place_cell, LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
 use crate::scratch::ScratchArena;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
@@ -486,11 +486,7 @@ impl Legalizer {
             state.shift_batch(design, &moves)?;
         }
         for d in diff.iter().filter(|d| d.old.is_none()) {
-            if self.config().rail_mode.is_aligned() {
-                state.place(design, d.cell, d.new)?;
-            } else {
-                state.place_ignoring_rails(design, d.cell, d.new)?;
-            }
+            place_cell(self.config(), design, state, d.cell, d.new)?;
         }
         Ok(())
     }

@@ -547,11 +547,10 @@ proptest! {
 // Nested journal savepoints.
 // ---------------------------------------------------------------------------
 
-/// Applies one random `place` / `remove` / `shift_batch` /
-/// `displace_batch` to `state` if it succeeds on a clone, and returns the
-/// cells it touched in first-touch order: a batch touches its cells in list
-/// order, and `displace_batch` lifts its placed cells before it places the
-/// destinations.
+/// Applies one random `place` / `remove` / `shift_batch` / row move
+/// (`remove` then `place_ignoring_rails`) to `state` if it succeeds on a
+/// clone, and returns the cells it touched in first-touch order: a batch
+/// touches its cells in list order.
 fn random_mutation(
     design: &Design,
     state: &mut PlacementState,
@@ -599,22 +598,13 @@ fn random_mutation(
                 return moves.iter().map(|&(c, _)| c).collect();
             }
         }
-        3 => {
-            let moves: Vec<(CellId, Option<SitePoint>)> = picked
-                .iter()
-                .map(|&c| (c, (rng.below(3) != 0).then(|| spot(rng, c))))
-                .collect();
-            let lifted: Vec<CellId> = picked
-                .iter()
-                .copied()
-                .filter(|&c| state.is_placed(c))
-                .collect();
-            if applies(&|st| st.displace_batch(design, &moves).is_ok(), state) {
-                let placed = moves
-                    .iter()
-                    .filter(|&&(c, to)| to.is_some() && !lifted.contains(&c))
-                    .map(|&(c, _)| c);
-                return lifted.iter().copied().chain(placed).collect();
+        3 if state.is_placed(c) => {
+            let at = spot(rng, c);
+            let moved = |st: &mut PlacementState| {
+                st.remove(design, c).is_ok() && st.place_ignoring_rails(design, c, at).is_ok()
+            };
+            if applies(&moved, state) {
+                return vec![c];
             }
         }
         _ => {}
@@ -711,7 +701,7 @@ fn eco_states_identical(design: &Design, a: &PlacementState, b: &PlacementState)
 
 /// A sparse legalized session over a wide strip: room for edits to commit,
 /// and far-apart windows for the commutativity property.
-fn eco_session(seed: u64, cells: usize, rows: i32, width: i32, halo: (i32, i32)) -> EcoSession {
+fn eco_session(seed: u64, cells: usize, rows: i32, width: i32) -> EcoSession {
     let mut b = DesignBuilder::new(rows, width);
     let mut rng_state = seed | 1;
     let mut next = || {
@@ -736,11 +726,7 @@ fn eco_session(seed: u64, cells: usize, rows: i32, width: i32, halo: (i32, i32))
     Legalizer::new(cfg.clone())
         .legalize(&design, &mut state)
         .expect("sparse design legalizes");
-    let eco_cfg = EcoConfig {
-        halo,
-        ..EcoConfig::default()
-    };
-    EcoSession::new(design, state, cfg, eco_cfg)
+    EcoSession::new(design, state, cfg, EcoConfig::default())
 }
 
 proptest! {
@@ -761,7 +747,7 @@ proptest! {
         ty in 0..8i32,
         w in 6..14i32,
     ) {
-        let mut session = eco_session(seed, cells, 8, 200, (30, 5));
+        let mut session = eco_session(seed, cells, 8, 200);
         let design_before = session.design().clone();
         let state_before = session.state().clone();
         let cell = session
@@ -818,9 +804,10 @@ proptest! {
         dxa in -4..5i32,
         dxb in -4..5i32,
     ) {
-        // Small halo on a wide strip keeps the two windows far apart:
-        // window A stays left of x=120, window B right of x=280.
-        let session = eco_session(seed, cells, 6, 400, (8, 2));
+        // A wide strip keeps the two windows far apart: with the legalizer's
+        // (30, 5) window as halo, window A stays at x <= 144 and window B at
+        // x >= 260.
+        let session = eco_session(seed, cells, 6, 400);
         let (a, b) = {
             let d = session.design();
             let by_x = |lo: i32, hi: i32| {
