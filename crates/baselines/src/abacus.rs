@@ -172,12 +172,7 @@ impl AbacusLegalizer {
                     rounds: 0,
                     reason: FailReason::NoInsertionPoint,
                 })?;
-            let placed = if self.rail_mode.is_aligned() {
-                state.place(design, cell, at)
-            } else {
-                state.place_ignoring_rails(design, cell, at)
-            };
-            placed.map_err(LegalizeError::Db)?;
+            self.rail_mode.place(design, state, cell, at)?;
             stats.placed += 1;
         }
 
@@ -265,12 +260,7 @@ impl AbacusLegalizer {
                     x = x.clamp(sub.x0, sub.x1 - cluster.w);
                     for &(cell, w) in &cluster.cells {
                         let at = SitePoint::new(x, row as i32);
-                        let placed = if self.rail_mode.is_aligned() {
-                            state.place(design, cell, at)
-                        } else {
-                            state.place_ignoring_rails(design, cell, at)
-                        };
-                        placed.map_err(LegalizeError::Db)?;
+                        self.rail_mode.place(design, state, cell, at)?;
                         x += w;
                     }
                 }

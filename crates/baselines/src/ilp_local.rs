@@ -142,12 +142,7 @@ impl IlpLegalizer {
         stats: &mut LegalizeStats,
     ) -> Result<bool, LegalizeError> {
         let pos = helper.snap(design, cell, fx, fy);
-        let direct = if self.cfg.rail_mode.is_aligned() {
-            state.place(design, cell, pos)
-        } else {
-            state.place_ignoring_rails(design, cell, pos)
-        };
-        if direct.is_ok() {
+        if self.cfg.rail_mode.place(design, state, cell, pos).is_ok() {
             stats.direct += 1;
             stats.placed += 1;
             return Ok(true);

@@ -121,12 +121,7 @@ impl TetrisLegalizer {
                     reason: FailReason::NoInsertionPoint,
                 });
             };
-            let placed = if self.rail_mode.is_aligned() {
-                state.place(design, cell, at)
-            } else {
-                state.place_ignoring_rails(design, cell, at)
-            };
-            placed.map_err(LegalizeError::Db)?;
+            self.rail_mode.place(design, state, cell, at)?;
             for r in at.y..at.y + c.height() {
                 frontier[r as usize] = at.x + c.width();
             }

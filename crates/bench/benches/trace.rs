@@ -1,13 +1,10 @@
 //! Overhead of the structured-event layer.
 //!
-//! The `Sink` trait is static-dispatch with `ENABLED = false` for
-//! `NoopSink`, so every `if S::ENABLED { … }` guard — including the
-//! construction of the event payloads — must fold away at
-//! monomorphization. This bench pins that claim: `legalize` (which routes
-//! through `legalize_with` on a `NoopSink` context) must run at the same
-//! speed as it did before the trace layer existed, and the printed ratio
-//! against a `RingSink` run shows what recording actually costs when
-//! switched on.
+//! `LegalizeCtx::trace` is an `Option<TraceBuf>`: with `None`, every event
+//! site costs one predictable branch and builds no payload. This bench
+//! runs the sequential driver with `trace: None` (`legalize`) and with
+//! `Some(TraceBuf)` (`legalize_with` on a traced context); the printed
+//! ratio is what recording costs when switched on.
 
 use mrl_bench::timer::Bench;
 use mrl_db::{Design, PlacementState};
@@ -29,22 +26,20 @@ fn main() {
     let design = fixture(10_000, 0.6);
     let legalizer = Legalizer::new(LegalizerConfig::paper());
     let b = Bench::new("trace_overhead").slow();
-    let noop = b.run("noop_sink", || {
+    let untraced = b.run("trace_none", || {
         let mut state = PlacementState::new(&design);
         legalizer.legalize(&design, &mut state).expect("legalize")
     });
-    let ring = b.run("ring_sink", || {
-        let mut buf = TraceBuf::default();
+    let traced = b.run("trace_some", || {
         let mut state = PlacementState::new(&design);
-        let mut ctx = LegalizeCtx::with_sink(buf.lane(0));
+        let mut ctx = LegalizeCtx::with_trace(TraceBuf::default());
         legalizer
             .legalize_with(&design, &mut state, &mut ctx)
             .expect("legalize");
-        buf.absorb(ctx.sink);
-        buf.len()
+        ctx.trace.map_or(0, |trace| trace.len())
     });
     println!(
-        "trace_overhead: ring sink costs {:.2}x the no-op path",
-        ring.as_secs_f64() / noop.as_secs_f64().max(1e-12)
+        "trace_overhead: a recorded trace costs {:.2}x the untraced path",
+        traced.as_secs_f64() / untraced.as_secs_f64().max(1e-12)
     );
 }

@@ -416,15 +416,16 @@ fn full_report(
 ) -> Json {
     let legalizer = Legalizer::new(lcfg.clone());
     // One traced parallel run for the metrics digest (histograms over
-    // displacement, region size, retries). Untimed: RingSink recording
+    // displacement, region size, retries). Untimed: recording a trace
     // has real overhead, so its wall clock is reported only inside the
     // digest's run section, never used for throughput numbers.
-    let mut ctx = LegalizeCtx::with_sink(TraceBuf::default());
+    let mut ctx = LegalizeCtx::with_trace(TraceBuf::default());
     let mut traced_state = PlacementState::new(design);
     legalizer
         .legalize_parallel_with(design, &mut traced_state, threads, &mut ctx)
         .expect("traced legalization");
-    let metrics = ctx.stats.metrics_summary(design.name(), &ctx.sink);
+    let trace = ctx.trace.expect("the context was built with a trace");
+    let metrics = ctx.stats.metrics_summary(design.name(), &trace);
     let metrics_json =
         Json::parse(&metrics.to_json_string()).expect("metrics summary emits parseable JSON");
 

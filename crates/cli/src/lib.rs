@@ -30,8 +30,8 @@ use mrl_bench::json::Json;
 use mrl_db::{Design, PlacementState};
 use mrl_gp::{GlobalPlacer, GpConfig};
 use mrl_legalize::{
-    refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeCtx, LegalizeStats, Legalizer,
-    LegalizerConfig, PowerRailMode, TraceBuf,
+    refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeCtx, Legalizer, LegalizerConfig,
+    PowerRailMode, TraceBuf,
 };
 use mrl_metrics::{
     check_legal, displacement_stats, hpwl_change, render_svg, RailCheck, SvgOptions,
@@ -539,44 +539,26 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let cfg = legalizer_config(&o);
             let mut state = PlacementState::new(&design);
             let legalizer = Legalizer::new(cfg);
-            let tracing = o.trace.is_some() || o.metrics_json.is_some();
-            let mut buf = TraceBuf::default();
-            let (stats, outcome) = if tracing {
-                match o.threads {
-                    Some(n) => {
-                        let mut ctx = LegalizeCtx::with_sink(buf);
-                        let res =
-                            legalizer.legalize_parallel_with(&design, &mut state, n, &mut ctx);
-                        buf = ctx.sink;
-                        (ctx.stats, res)
-                    }
-                    None => {
-                        let mut ctx = LegalizeCtx::with_sink(buf.lane(0));
-                        let res = legalizer.legalize_with(&design, &mut state, &mut ctx);
-                        buf.absorb(ctx.sink);
-                        (ctx.stats, res)
-                    }
-                }
+            let mut ctx = if o.trace.is_some() || o.metrics_json.is_some() {
+                LegalizeCtx::with_trace(TraceBuf::default())
             } else {
-                match o.threads {
-                    Some(n) => legalizer.legalize_parallel(&design, &mut state, n),
-                    None => legalizer.legalize(&design, &mut state),
-                }
-                .map_or_else(
-                    |e| (LegalizeStats::default(), Err(e)),
-                    |stats| (stats, Ok(())),
-                )
+                LegalizeCtx::new()
             };
+            let outcome = match o.threads {
+                Some(n) => legalizer.legalize_parallel_with(&design, &mut state, n, &mut ctx),
+                None => legalizer.legalize_with(&design, &mut state, &mut ctx),
+            };
+            let (stats, trace) = (ctx.stats, ctx.trace.unwrap_or_default());
             // Write the diagnostics even when the run fails — that is when
             // they are most useful.
             let mut out = String::new();
             if let Some(path) = &o.trace {
-                std::fs::write(path, buf.to_chrome_json())
+                std::fs::write(path, trace.to_chrome_json())
                     .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
                 let _ = writeln!(out, "wrote trace to {}", path.display());
             }
             if let Some(path) = &o.metrics_json {
-                let summary = stats.metrics_summary(design.name(), &buf);
+                let summary = stats.metrics_summary(design.name(), &trace);
                 std::fs::write(path, summary.to_json_string())
                     .map_err(|e| fail(format!("cannot write {}: {e}", path.display())))?;
                 let _ = writeln!(out, "wrote metrics to {}", path.display());
@@ -1858,19 +1840,48 @@ mod tests {
         ]))
         .unwrap();
         let aux = dir.join("fft_2.aux");
+        // One `mrl legalize --out` run with `extra` flags; returns its `.pl`.
+        let legalize = |name: &str, extra: &[&str]| {
+            let out = dir.join(format!("out_{name}"));
+            let mut argv = vec!["legalize", "--aux", aux.to_str().unwrap()];
+            argv.extend(["--out", out.to_str().unwrap()]);
+            argv.extend(extra);
+            run(&args(&argv)).unwrap();
+            std::fs::read_to_string(out.join("fft_2.pl")).unwrap()
+        };
+        // The Chrome trace's events without their timings.
+        let events = |path: &std::path::Path| {
+            let Ok(Json::Arr(events)) = Json::parse(&std::fs::read_to_string(path).unwrap()) else {
+                panic!("{} is not a JSON array", path.display());
+            };
+            events
+                .into_iter()
+                .map(|ev| match ev {
+                    Json::Obj(mut fields) => {
+                        fields.remove("ts");
+                        fields.remove("dur");
+                        fields
+                    }
+                    other => panic!("trace event is not an object: {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
         let mut sections = Vec::new();
+        let mut traces = Vec::new();
         for threads in ["1", "4"] {
             let path = dir.join(format!("metrics_{threads}.json"));
-            run(&args(&[
-                "legalize",
-                "--aux",
-                aux.to_str().unwrap(),
-                "--threads",
+            let trace = dir.join(format!("trace_{threads}.json"));
+            let pl = legalize(
                 threads,
-                "--metrics-json",
-                path.to_str().unwrap(),
-            ]))
-            .unwrap();
+                &[
+                    "--threads",
+                    threads,
+                    "--metrics-json",
+                    path.to_str().unwrap(),
+                    "--trace",
+                    trace.to_str().unwrap(),
+                ],
+            );
             let json = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
             assert_eq!(
                 json.get("schema"),
@@ -1883,9 +1894,23 @@ mod tests {
                 json.get("fail_reasons").cloned(),
                 json.get("histograms").cloned(),
             ));
+            traces.push(events(&trace));
+            if threads == "4" {
+                let untraced = legalize("4_untraced", &["--threads", "4"]);
+                assert_eq!(pl, untraced, "tracing changed the --threads 4 placement");
+            }
         }
         assert!(sections[0].0.is_some());
         assert_eq!(sections[0], sections[1], "metrics diverged across threads");
+        assert!(!traces[0].is_empty());
+        assert_eq!(traces[0], traces[1], "trace events diverged across threads");
+        let trace = dir.join("trace_seq.json");
+        let traced = legalize("seq_traced", &["--trace", trace.to_str().unwrap()]);
+        assert_eq!(
+            traced,
+            legalize("seq", &[]),
+            "tracing changed the sequential placement"
+        );
     }
 
     #[test]

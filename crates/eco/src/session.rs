@@ -203,8 +203,6 @@ pub struct EcoSession {
     arena: ScratchArena,
     deleted: Vec<bool>,
     deleted_count: usize,
-    batches_applied: u64,
-    batches_rejected: u64,
     telemetry: Arc<ServeTelemetry>,
 }
 
@@ -228,8 +226,6 @@ impl EcoSession {
             arena: ScratchArena::new(),
             deleted,
             deleted_count: 0,
-            batches_applied: 0,
-            batches_rejected: 0,
             telemetry,
         };
         session.refresh_gauges(0);
@@ -286,12 +282,12 @@ impl EcoSession {
 
     /// Batches committed so far.
     pub fn batches_applied(&self) -> u64 {
-        self.batches_applied
+        self.telemetry.batches_applied.get()
     }
 
     /// Batches rolled back so far.
     pub fn batches_rejected(&self) -> u64 {
-        self.batches_rejected
+        self.telemetry.batches_rejected.get()
     }
 
     /// Applies one batch under the session's displacement budget.
@@ -545,7 +541,6 @@ impl EcoSession {
         let journal_depth = self.state.journal(&sp).len();
         let stats = if let Some((why, reason)) = reject {
             self.rollback(sp, base_cells, &prev_inputs, &prev_widths)?;
-            self.batches_rejected += 1;
             self.telemetry.batches_rejected.inc();
             self.telemetry.record_reject(why);
             BatchStats {
@@ -577,7 +572,6 @@ impl EcoSession {
             // Validation guarantees each pending delete is unique and not
             // already tombstoned, so the O(1) count stays exact.
             self.deleted_count += pending_deletes.len();
-            self.batches_applied += 1;
             self.telemetry.batches_applied.inc();
             self.telemetry
                 .induced_disp
@@ -619,7 +613,7 @@ impl EcoSession {
             .set(self.state.index_slack_bytes() as u64);
         t.journal_depth.set(journal_depth as u64);
         t.batches_since_start
-            .set(self.batches_applied + self.batches_rejected);
+            .set(self.batches_applied() + self.batches_rejected());
     }
 
     /// Bit-exact rollback of a rejected batch: placement journal first

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use mrl_bench::json::Json;
 use mrl_telemetry::{expo, AtomicHist, Collect, Counter, Gauge, Registry};
-use mrl_trace::MetricsSummary;
+use mrl_trace::{LegalizeStats, MetricsSummary};
 
 /// Why a batch rolled back, as a bounded label set (the free-form message
 /// stays on the wire response; the counter needs a stable cardinality).
@@ -224,8 +224,11 @@ impl ServeTelemetry {
     pub fn to_metrics_summary(&self, design: &str) -> MetricsSummary {
         MetricsSummary {
             design: design.to_string(),
-            threads: 1,
-            wall: self.start.elapsed(),
+            stats: LegalizeStats {
+                threads: 1,
+                wall: self.start.elapsed(),
+                ..LegalizeStats::default()
+            },
             hist_displacement: self.induced_disp.snapshot(),
             extras: vec![
                 (

@@ -1,5 +1,7 @@
 //! Configuration of the legalizer.
 
+use mrl_db::{CellId, DbError, Design, PlacementState};
+use mrl_geom::SitePoint;
 use std::fmt;
 
 /// Whether the power-rail alignment constraint is enforced.
@@ -21,6 +23,28 @@ impl PowerRailMode {
     /// True for [`PowerRailMode::Aligned`].
     pub const fn is_aligned(self) -> bool {
         matches!(self, PowerRailMode::Aligned)
+    }
+
+    /// Places `cell` at `at`, checking rail parity only in
+    /// [`PowerRailMode::Aligned`] — the one placement rule every driver,
+    /// escalation tier and baseline shares.
+    ///
+    /// # Errors
+    ///
+    /// The [`DbError`] of [`PlacementState::place`] (or of
+    /// [`PlacementState::place_ignoring_rails`] when relaxed).
+    pub fn place(
+        self,
+        design: &Design,
+        state: &mut PlacementState,
+        cell: CellId,
+        at: SitePoint,
+    ) -> Result<(), DbError> {
+        if self.is_aligned() {
+            state.place(design, cell, at)
+        } else {
+            state.place_ignoring_rails(design, cell, at)
+        }
     }
 }
 

@@ -52,7 +52,7 @@ use crate::region::LocalRegion;
 use crate::scratch::{Candidate, EvalScratch, ScanEvent, ScratchArena};
 use mrl_db::Design;
 use mrl_geom::Interval;
-use mrl_trace::{Phase, PhaseTimes, Sink};
+use mrl_trace::{Phase, PhaseTimes, Probe, TraceBuf};
 use std::collections::BinaryHeap;
 
 /// A scored valid insertion point.
@@ -125,21 +125,22 @@ pub fn enumerate_insertion_points(
 /// Returns the minimum-cost valid insertion point, if any exists.
 ///
 /// Runs on `ctx`'s arena, allocation-free once it is warm. The whole scan
-/// is timed as [`Phase::Enumerate`] and each scored candidate within it as
-/// [`Phase::Evaluate`], in both the ledger and the sink.
-pub fn find_best_insertion_point<S: Sink>(
+/// is probed as [`Phase::Enumerate`] and each scored candidate within it as
+/// [`Phase::Evaluate`].
+pub fn find_best_insertion_point(
     region: &LocalRegion,
     design: &Design,
     target: &TargetSpec,
     cfg: &LegalizerConfig,
-    ctx: &mut LegalizeCtx<S>,
+    ctx: &mut LegalizeCtx,
 ) -> Option<InsertionPoint> {
-    let LegalizeCtx { arena, stats, sink } = ctx;
-    let timer = &mut stats.phases;
-    let probe = timer.start();
-    if S::ENABLED {
-        sink.begin(Phase::Enumerate);
-    }
+    let LegalizeCtx {
+        arena,
+        stats,
+        trace,
+    } = ctx;
+    let phases = &mut stats.phases;
+    let probe = Probe::open(Phase::Enumerate, trace);
     let aspect = design.grid().aspect();
     let ScratchArena {
         intervals,
@@ -159,21 +160,18 @@ pub fn find_best_insertion_point<S: Sink>(
         if cfg.prune {
             best_first(
                 region, target, cfg, aspect, intervals, events, rail_ok, queues, combo, combo_buf,
-                pool, cands, best_combo, eval, timer, sink,
+                pool, cands, best_combo, eval, phases, trace,
             )
         } else {
             exhaustive(
                 region, target, cfg, aspect, intervals, events, rail_ok, queues, combo, combo_buf,
-                best_combo, eval, timer, sink,
+                best_combo, eval, phases, trace,
             )
         }
     } else {
         None
     };
-    if S::ENABLED {
-        sink.end(Phase::Enumerate);
-    }
-    timer.stop(Phase::Enumerate, probe);
+    probe.close(phases, trace);
     best
 }
 
@@ -366,7 +364,7 @@ fn product_emit<F>(
 /// Exhaustive search: score every generated combination in emission order;
 /// the first minimum wins (strict `<` replacement).
 #[allow(clippy::too_many_arguments)]
-fn exhaustive<S: Sink>(
+fn exhaustive(
     region: &LocalRegion,
     target: &TargetSpec,
     cfg: &LegalizerConfig,
@@ -379,8 +377,8 @@ fn exhaustive<S: Sink>(
     combo_buf: &mut Vec<InsInterval>,
     best_combo: &mut Vec<u32>,
     eval: &mut EvalScratch,
-    timer: &mut PhaseTimes,
-    sink: &mut S,
+    phases: &mut PhaseTimes,
+    trace: &mut Option<TraceBuf>,
 ) -> Option<InsertionPoint> {
     let mut best: Option<(usize, Evaluation)> = None;
     generate(
@@ -392,14 +390,11 @@ fn exhaustive<S: Sink>(
         queues,
         combo,
         &mut |t, ids| {
-            timer.combos_generated += 1;
-            timer.combos_evaluated += 1;
+            phases.combos_generated += 1;
+            phases.combos_evaluated += 1;
             combo_buf.clear();
             combo_buf.extend(ids.iter().map(|&j| intervals[j as usize]));
-            let probe = timer.start();
-            if S::ENABLED {
-                sink.begin(Phase::Evaluate);
-            }
+            let probe = Probe::open(Phase::Evaluate, trace);
             let ev = score(
                 region,
                 combo_buf,
@@ -409,10 +404,7 @@ fn exhaustive<S: Sink>(
                 cfg,
                 eval,
             );
-            if S::ENABLED {
-                sink.end(Phase::Evaluate);
-            }
-            timer.stop(Phase::Evaluate, probe);
+            probe.close(phases, trace);
             if best.as_ref().is_none_or(|(_, b)| ev.cost < b.cost) {
                 best = Some((t, ev));
                 best_combo.clear();
@@ -431,7 +423,7 @@ fn exhaustive<S: Sink>(
 /// lower bounds, then pop them cheapest-bound-first and stop as soon as the
 /// incumbent can no longer be beaten. Result-identical to [`exhaustive`].
 #[allow(clippy::too_many_arguments)]
-fn best_first<S: Sink>(
+fn best_first(
     region: &LocalRegion,
     target: &TargetSpec,
     cfg: &LegalizerConfig,
@@ -446,8 +438,8 @@ fn best_first<S: Sink>(
     cands: &mut Vec<Candidate>,
     best_combo: &mut Vec<u32>,
     eval: &mut EvalScratch,
-    timer: &mut PhaseTimes,
-    sink: &mut S,
+    phases: &mut PhaseTimes,
+    trace: &mut Option<TraceBuf>,
 ) -> Option<InsertionPoint> {
     let ht = target.h as usize;
     pool.clear();
@@ -461,7 +453,7 @@ fn best_first<S: Sink>(
         queues,
         combo,
         &mut |t, ids| {
-            timer.combos_generated += 1;
+            phases.combos_generated += 1;
             // Admissible bound: the target's own hinge contributes at least
             // its distance to the feasible range, every other hinge is
             // non-negative, and the vertical term is exact.
@@ -495,19 +487,16 @@ fn best_first<S: Sink>(
             // the incumbent's earlier emission) — neither can anything
             // still on the heap.
             if c.bound > bev.cost || (c.bound == bev.cost && c.emit_idx > *bemit) {
-                timer.combos_pruned += 1 + heap.len() as u64;
+                phases.combos_pruned += 1 + heap.len() as u64;
                 break;
             }
         }
         let start = c.pool_start as usize;
         let ids = &pool[start..start + ht];
-        timer.combos_evaluated += 1;
+        phases.combos_evaluated += 1;
         combo_buf.clear();
         combo_buf.extend(ids.iter().map(|&j| intervals[j as usize]));
-        let probe = timer.start();
-        if S::ENABLED {
-            sink.begin(Phase::Evaluate);
-        }
+        let probe = Probe::open(Phase::Evaluate, trace);
         let ev = score(
             region,
             combo_buf,
@@ -517,10 +506,7 @@ fn best_first<S: Sink>(
             cfg,
             eval,
         );
-        if S::ENABLED {
-            sink.end(Phase::Evaluate);
-        }
-        timer.stop(Phase::Evaluate, probe);
+        probe.close(phases, trace);
         let better = match &best {
             None => true,
             Some((bev, bemit, _)) => {

@@ -38,13 +38,13 @@
 //! sizes below are constants, because no caller varies them.
 
 use crate::config::LegalizerConfig;
-use crate::legalizer::{place_cell, LegalizeCtx, LegalizeError, Legalizer};
+use crate::legalizer::{LegalizeCtx, LegalizeError, Legalizer};
 use crate::mll::mll;
 use crate::region::LocalRegion;
 use mrl_db::{CellId, Design, PlacementState, Savepoint};
 use mrl_geom::{SitePoint, SiteRect};
 use mrl_ilp::{Model, Op, SolveError, VarId};
-use mrl_trace::{Phase, Sink};
+use mrl_trace::Phase;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
@@ -83,36 +83,30 @@ impl Legalizer {
     ///
     /// [`LegalizeError::Db`] on database inconsistencies (indicates a
     /// bug), including a rollback that cannot restore the entry state.
-    pub fn escalate_cell<S: Sink>(
+    pub fn escalate_cell(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         ctx.stats.escalation.engaged += 1;
-        let probe = ctx.stats.phases.start();
-        if S::ENABLED {
-            ctx.sink.begin(Phase::Escalate);
-        }
+        let probe = ctx.open(Phase::Escalate);
         let result = self.run_tiers(design, state, cell, ctx, round);
-        if S::ENABLED {
-            ctx.sink.end(Phase::Escalate);
-        }
-        ctx.stats.phases.stop(Phase::Escalate, probe);
+        ctx.close(probe);
         if matches!(result, Ok(true)) {
             ctx.stats.placed += 1;
         }
         result
     }
 
-    fn run_tiers<S: Sink>(
+    fn run_tiers(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let e = self.config().escalation;
@@ -151,13 +145,13 @@ impl Legalizer {
     /// the induced displacement its journal meters within budget;
     /// otherwise it rolls back completely before the next candidate is
     /// tried.
-    fn tier1_ripple<S: Sink>(
+    fn tier1_ripple(
         &self,
         design: &Design,
         state: &mut PlacementState,
         target: CellId,
         pos: SitePoint,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let max_disp = self.config().escalation.ripple_max_disp;
@@ -173,7 +167,7 @@ impl Legalizer {
         for victim in first {
             ctx.stats.escalation.ripple_chains += 1;
             let sp = state.savepoint();
-            let chain = |state: &mut PlacementState, ctx: &mut LegalizeCtx<S>| {
+            let chain = |state: &mut PlacementState, ctx: &mut LegalizeCtx| {
                 let at = state.remove(design, victim)?;
                 Ok(self.chain_place(design, state, target, pos, ctx, round)?
                     && self.drain_chain(design, state, target, (victim, at), ctx, round)?)
@@ -203,13 +197,13 @@ impl Legalizer {
     /// position, displacing at most [`RIPPLE_DEPTH`] cells in total. Returns
     /// whether every cell ended up placed (the caller checks the budget and
     /// rolls back on failure).
-    fn drain_chain<S: Sink>(
+    fn drain_chain(
         &self,
         design: &Design,
         state: &mut PlacementState,
         target: CellId,
         victim: (CellId, SitePoint),
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let mut visited = vec![target, victim.0];
@@ -243,13 +237,13 @@ impl Legalizer {
     /// height-class-descending order, each at its prior position. All cells
     /// must re-place for the repack to commit; otherwise its savepoint
     /// rolls back.
-    fn tier2_repack<S: Sink>(
+    fn tier2_repack(
         &self,
         design: &Design,
         state: &mut PlacementState,
         target: CellId,
         pos: SitePoint,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let cfg = self.config();
@@ -296,12 +290,12 @@ impl Legalizer {
 
     /// Re-inserts the ripped-up cells of a repack window, tallest class
     /// first. Returns whether every cell was placed.
-    fn place_tallest_first<S: Sink>(
+    fn place_tallest_first(
         &self,
         design: &Design,
         state: &mut PlacementState,
         mut items: Vec<(CellId, SitePoint)>,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         // Within a class left-to-right, then by id. Earlier insertions are
@@ -326,17 +320,17 @@ impl Legalizer {
     /// Places one unplaced cell at `at`: directly if the footprint is
     /// free, else via MLL around `at`. Every move lands in the open
     /// savepoint, so the attempt stays rollback-able.
-    fn chain_place<S: Sink>(
+    fn chain_place(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
         at: SitePoint,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<bool, LegalizeError> {
         let cfg = self.config();
-        if place_cell(cfg, design, state, cell, at).is_ok() {
+        if cfg.rail_mode.place(design, state, cell, at).is_ok() {
             return Ok(true);
         }
         ctx.stats.mll_calls += 1;
@@ -513,7 +507,7 @@ pub fn ilp_place_window(
         .shift_batch(design, &moves)
         .map_err(LegalizeError::Db)?;
     let at = SitePoint::new(xt, region.bottom_row + t as i32);
-    place_cell(cfg, design, state, target, at)?;
+    cfg.rail_mode.place(design, state, target, at)?;
     Ok(true)
 }
 

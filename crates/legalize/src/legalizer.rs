@@ -8,8 +8,8 @@
 //! until everything is placed.
 //!
 //! Every operation takes a [`LegalizeCtx`]: the scratch arena, the run's
-//! [`LegalizeStats`] and the trace sink. Only [`Legalizer::legalize`] and
-//! [`Legalizer::legalize_parallel`] build one themselves.
+//! [`LegalizeStats`] and, optionally, a trace. Only [`Legalizer::legalize`]
+//! and [`Legalizer::legalize_parallel`] build one themselves.
 
 use crate::config::{CellOrder, LegalizerConfig};
 use crate::escalate::AFTER_ROUNDS;
@@ -17,103 +17,16 @@ use crate::mll::mll;
 use crate::scratch::ScratchArena;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
-use mrl_trace::{
-    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, MetricsSummary,
-    NoopSink, Phase, PhaseTimes, Sink, TraceBuf,
-};
+use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, LegalizeStats, Phase, Probe, TraceBuf};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
-
-/// Counters describing one legalization run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LegalizeStats {
-    /// Cells placed (movable cells that were unplaced at entry).
-    pub placed: usize,
-    /// Cells placed directly at their snapped position without MLL.
-    pub direct: usize,
-    /// Cells placed by MLL.
-    pub via_mll: usize,
-    /// Number of retry rounds (`k` at loop exit; 0 when the first pass
-    /// placed everything).
-    pub retry_rounds: u32,
-    /// Total MLL invocations, including failed ones.
-    pub mll_calls: usize,
-    /// Per-phase wall-clock breakdown (extract / enumerate / evaluate /
-    /// realize / retry / escalate). In the parallel driver this is the
-    /// *sum* over workers, so phase time can exceed [`LegalizeStats::wall`].
-    pub phases: PhaseTimes,
-    /// End-to-end wall time of the driver.
-    pub wall: Duration,
-    /// Worker threads used (1 for the sequential driver).
-    pub threads: usize,
-    /// Vertical stripes formed by the parallel driver (0 when sequential).
-    pub stripes: usize,
-    /// Stripes whose results were discarded because a move escaped the
-    /// stripe halo (their cells were re-legalized sequentially).
-    pub conflicts: usize,
-    /// Cells that fell through the parallel phase (first-pass failures plus
-    /// conflicting stripes) and were handled by the sequential retry pass.
-    pub residue: usize,
-    /// Failure-reason tallies. `no_insertion_point` and
-    /// `region_extraction_empty` count failed *attempts* (a cell retried 3
-    /// times contributes 3); `retry_budget_exhausted` counts *cells* still
-    /// unplaced when the retry budget ran out.
-    pub fail_counts: FailCounts,
-    /// Escalation-tier engagement and success counters (see
-    /// [`crate::EscalationConfig`]). All zero when escalation never
-    /// engaged.
-    pub escalation: EscalationCounters,
-}
-
-impl LegalizeStats {
-    /// The metrics digest of this run (`--metrics-json`, the bench
-    /// report): every counter here plus the histograms folded from the
-    /// run's `trace`.
-    pub fn metrics_summary(&self, design: &str, trace: &TraceBuf) -> MetricsSummary {
-        let mut m = MetricsSummary {
-            design: design.to_string(),
-            threads: self.threads,
-            wall: self.wall,
-            phases: self.phases,
-            placed: self.placed as u64,
-            direct: self.direct as u64,
-            via_mll: self.via_mll as u64,
-            mll_calls: self.mll_calls as u64,
-            retry_rounds: u64::from(self.retry_rounds),
-            stripes: self.stripes as u64,
-            conflicts: self.conflicts as u64,
-            residue: self.residue as u64,
-            fail_counts: self.fail_counts,
-            escalation: self.escalation,
-            ..MetricsSummary::default()
-        };
-        m.ingest(trace);
-        m
-    }
-}
-
-/// Places `cell` at `at`, checking rail parity only when `cfg` aligns
-/// rails — the one placement rule every driver and tier shares.
-pub(crate) fn place_cell(
-    cfg: &LegalizerConfig,
-    design: &Design,
-    state: &mut PlacementState,
-    cell: CellId,
-    at: SitePoint,
-) -> Result<(), DbError> {
-    if cfg.rail_mode.is_aligned() {
-        state.place(design, cell, at)
-    } else {
-        state.place_ignoring_rails(design, cell, at)
-    }
-}
 
 /// The working context of one legalizer run: the thread's scratch arena,
-/// the run's statistics (with their phase ledger) and the trace sink.
+/// the run's statistics (with their phase ledger) and the trace, when one
+/// is attached.
 ///
 /// The drivers reset [`stats`](LegalizeCtx::stats) when they start, so
 /// after a run — failed or not — they describe that run; the single-cell
@@ -121,13 +34,13 @@ pub(crate) fn place_cell(
 /// [`Legalizer::escalate_cell`]) add to them. Reuse one context across
 /// calls to keep the arena warm.
 #[derive(Debug, Default)]
-pub struct LegalizeCtx<S = NoopSink> {
+pub struct LegalizeCtx {
     /// Reusable kernel buffers (DESIGN.md §6).
     pub arena: ScratchArena,
     /// Counters and the phase ledger.
     pub stats: LegalizeStats,
-    /// Structured-event consumer; [`NoopSink`] compiles every event away.
-    pub sink: S,
+    /// The structured-event recorder; `None` records nothing.
+    pub trace: Option<TraceBuf>,
 }
 
 impl LegalizeCtx {
@@ -135,15 +48,41 @@ impl LegalizeCtx {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<S> LegalizeCtx<S> {
-    /// A context recording trace events into `sink`.
-    pub fn with_sink(sink: S) -> Self {
+    /// A context recording trace events into `trace`.
+    pub fn with_trace(trace: TraceBuf) -> Self {
         LegalizeCtx {
-            arena: ScratchArena::new(),
-            stats: LegalizeStats::default(),
-            sink,
+            trace: Some(trace),
+            ..Self::default()
+        }
+    }
+
+    /// Opens a phase boundary (see [`Probe`]).
+    #[inline]
+    pub(crate) fn open(&mut self, phase: Phase) -> Probe {
+        Probe::open(phase, &mut self.trace)
+    }
+
+    /// Closes a phase boundary into this run's ledger and trace.
+    #[inline]
+    pub(crate) fn close(&mut self, probe: Probe) {
+        probe.close(&mut self.stats.phases, &mut self.trace);
+    }
+
+    /// Records the attempt `rec` builds from the run's statistics, when a
+    /// trace is attached.
+    #[inline]
+    pub(crate) fn attempt(&mut self, rec: impl FnOnce(&LegalizeStats) -> AttemptRecord) {
+        if let Some(trace) = &mut self.trace {
+            trace.attempt(rec(&self.stats));
+        }
+    }
+
+    /// Samples a named counter, when a trace is attached.
+    #[inline]
+    pub(crate) fn counter(&mut self, name: &'static str, value: u64) {
+        if let Some(trace) = &mut self.trace {
+            trace.counter(name, value);
         }
     }
 }
@@ -284,23 +223,23 @@ impl Legalizer {
     /// # Errors
     ///
     /// Propagates database errors (e.g. the cell is already placed).
-    pub fn try_place<S: Sink>(
+    pub fn try_place(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cell: CellId,
         at: (f64, f64),
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
         round: u32,
     ) -> Result<Option<FailReason>, LegalizeError> {
         let pos = self.snap(design, cell, at.0, at.1);
-        match place_cell(&self.cfg, design, state, cell, pos) {
+        match self.cfg.rail_mode.place(design, state, cell, pos) {
             Ok(()) => {
                 ctx.stats.direct += 1;
                 ctx.stats.placed += 1;
-                if S::ENABLED {
+                ctx.attempt(|_| {
                     let c = design.cell(cell);
-                    ctx.sink.attempt(AttemptRecord {
+                    AttemptRecord {
                         cell: cell.index() as u32,
                         height: c.height() as u8,
                         retry_round: round,
@@ -315,8 +254,8 @@ impl Legalizer {
                         combos_pruned: 0,
                         combos_evaluated: 0,
                         outcome: AttemptOutcome::Direct { x: pos.x, y: pos.y },
-                    });
-                }
+                    }
+                });
                 Ok(None)
             }
             Err(DbError::AlreadyPlaced(c)) => Err(DbError::AlreadyPlaced(c).into()),
@@ -358,16 +297,16 @@ impl Legalizer {
     /// [`legalize`](Legalizer::legalize) in a caller-owned context. The
     /// run's statistics land in `ctx.stats` whether or not it succeeds, so
     /// diagnostics — failure-reason tallies, phase times, attempt records
-    /// already emitted into the sink — survive a failed run.
+    /// already in the trace — survive a failed run.
     ///
     /// # Errors
     ///
     /// Same as [`legalize`](Legalizer::legalize).
-    pub fn legalize_with<S: Sink>(
+    pub fn legalize_with(
         &self,
         design: &Design,
         state: &mut PlacementState,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
     ) -> Result<(), LegalizeError> {
         self.run_cells(design, state, None, ctx)
     }
@@ -385,12 +324,12 @@ impl Legalizer {
     /// # Errors
     ///
     /// Same as [`legalize`](Legalizer::legalize).
-    pub fn legalize_subset<S: Sink>(
+    pub fn legalize_subset(
         &self,
         design: &Design,
         state: &mut PlacementState,
         cells: &[CellId],
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
     ) -> Result<(), LegalizeError> {
         self.run_cells(design, state, Some(cells), ctx)
     }
@@ -398,12 +337,12 @@ impl Legalizer {
     /// The sequential driver body: a first pass at the input positions
     /// (Algorithm 1 lines 2–7) over `subset`, or over every unplaced cell
     /// in the configured order, then the retry loop.
-    fn run_cells<S: Sink>(
+    fn run_cells(
         &self,
         design: &Design,
         state: &mut PlacementState,
         subset: Option<&[CellId]>,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
     ) -> Result<(), LegalizeError> {
         let wall = std::time::Instant::now();
         ctx.stats = LegalizeStats {
@@ -474,13 +413,13 @@ impl Legalizer {
     /// pair carries the cell's most recent failure reason; the reason is
     /// refreshed on every failed retry so the final tally reflects the last
     /// attempt.
-    pub(crate) fn retry_loop<S: Sink>(
+    pub(crate) fn retry_loop(
         &self,
         design: &Design,
         state: &mut PlacementState,
         mut remaining: Vec<(CellId, FailReason)>,
         rng: &mut SmallRng,
-        ctx: &mut LegalizeCtx<S>,
+        ctx: &mut LegalizeCtx,
     ) -> Result<(), LegalizeError> {
         let mut k = 1u32;
         while !remaining.is_empty() {
@@ -494,80 +433,61 @@ impl Legalizer {
                 });
             }
             ctx.stats.retry_rounds = k;
-            let probe = ctx.stats.phases.start();
-            if S::ENABLED {
-                ctx.sink.begin(Phase::Retry);
-                ctx.sink.counter("retry.remaining", remaining.len() as u64);
-            }
-            let radius_x = i64::from(self.cfg.rx) * i64::from(k - 1);
-            let radius_y = i64::from(self.cfg.ry) * i64::from(k - 1);
-            let mut still = Vec::new();
-            for (cell, _) in remaining {
-                let (fx, fy) = design.input_position(cell);
-                let dx = if radius_x > 0 {
-                    rng.gen_range(-radius_x..=radius_x) as f64
-                } else {
-                    0.0
-                };
-                let dy = if radius_y > 0 {
-                    rng.gen_range(-radius_y..=radius_y) as f64
-                } else {
-                    0.0
-                };
-                match self.try_place(design, state, cell, (fx + dx, fy + dy), ctx, k) {
-                    Ok(None) => {}
-                    Ok(Some(reason)) => {
-                        // Escalation ladder: engage every `AFTER_ROUNDS`-th
-                        // round, *after* the normal random-offset attempt so
-                        // the RNG stream stays aligned with escalation-off
-                        // runs (bit-identical behavior below the engagement
-                        // threshold).
-                        let engage =
-                            self.cfg.escalation.engages() && k.is_multiple_of(AFTER_ROUNDS);
-                        let escalated = if engage {
-                            self.escalate_cell(design, state, cell, ctx, k)
-                        } else {
-                            Ok(false)
-                        };
-                        match escalated {
-                            Ok(true) => {}
-                            Ok(false) => {
-                                let reason = if engage {
-                                    ctx.stats
-                                        .fail_counts
-                                        .record(FailReason::EscalationExhausted);
-                                    FailReason::EscalationExhausted
-                                } else {
-                                    reason
-                                };
-                                still.push((cell, reason));
-                            }
-                            Err(e) => {
-                                if S::ENABLED {
-                                    ctx.sink.end(Phase::Retry);
-                                }
-                                ctx.stats.phases.stop(Phase::Retry, probe);
-                                return Err(e);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if S::ENABLED {
-                            ctx.sink.end(Phase::Retry);
-                        }
-                        ctx.stats.phases.stop(Phase::Retry, probe);
-                        return Err(e);
-                    }
-                }
-            }
-            remaining = still;
-            if S::ENABLED {
-                ctx.sink.end(Phase::Retry);
-            }
-            ctx.stats.phases.stop(Phase::Retry, probe);
+            let probe = ctx.open(Phase::Retry);
+            ctx.counter("retry.remaining", remaining.len() as u64);
+            let round = self.retry_round(design, state, remaining, k, rng, ctx);
+            ctx.close(probe);
+            remaining = round?;
             k += 1;
         }
         Ok(())
+    }
+
+    /// Retry round `k`: one attempt per cell at a random offset whose
+    /// radius grows with `k`, and the escalation ladder for cells still
+    /// failing every `AFTER_ROUNDS`-th round. Returns the cells left.
+    fn retry_round(
+        &self,
+        design: &Design,
+        state: &mut PlacementState,
+        remaining: Vec<(CellId, FailReason)>,
+        k: u32,
+        rng: &mut SmallRng,
+        ctx: &mut LegalizeCtx,
+    ) -> Result<Vec<(CellId, FailReason)>, LegalizeError> {
+        let radius_x = i64::from(self.cfg.rx) * i64::from(k - 1);
+        let radius_y = i64::from(self.cfg.ry) * i64::from(k - 1);
+        let mut still = Vec::new();
+        for (cell, _) in remaining {
+            let (fx, fy) = design.input_position(cell);
+            let dx = if radius_x > 0 {
+                rng.gen_range(-radius_x..=radius_x) as f64
+            } else {
+                0.0
+            };
+            let dy = if radius_y > 0 {
+                rng.gen_range(-radius_y..=radius_y) as f64
+            } else {
+                0.0
+            };
+            let Some(reason) = self.try_place(design, state, cell, (fx + dx, fy + dy), ctx, k)?
+            else {
+                continue;
+            };
+            // Escalation ladder: engage every `AFTER_ROUNDS`-th round,
+            // *after* the normal random-offset attempt so the RNG stream
+            // stays aligned with escalation-off runs (bit-identical
+            // behavior below the engagement threshold).
+            if !(self.cfg.escalation.engages() && k.is_multiple_of(AFTER_ROUNDS)) {
+                still.push((cell, reason));
+            } else if !self.escalate_cell(design, state, cell, ctx, k)? {
+                ctx.stats
+                    .fail_counts
+                    .record(FailReason::EscalationExhausted);
+                still.push((cell, FailReason::EscalationExhausted));
+            }
+        }
+        Ok(still)
     }
 }
 

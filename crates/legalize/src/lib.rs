@@ -30,9 +30,11 @@
 //! The top-level driver [`Legalizer`] (Algorithm 1) runs MLL for every cell
 //! of a global placement, retrying failed cells at randomly perturbed
 //! positions with a growing radius. Every operation runs in a
-//! [`LegalizeCtx`] — scratch arena, run statistics, trace sink — which
+//! [`LegalizeCtx`] — scratch arena, run statistics, optional trace — which
 //! only [`Legalizer::legalize`] and [`Legalizer::legalize_parallel`] build
-//! for themselves.
+//! for themselves. Each phase boundary is one [`Probe`]: it times the
+//! phase into [`LegalizeStats::phases`] and, when the context carries a
+//! [`TraceBuf`], records the phase's span.
 //!
 //! # Examples
 //!
@@ -78,14 +80,13 @@ pub use enumerate::{enumerate_insertion_points, find_best_insertion_point, Inser
 pub use escalate::{ilp_place_window, solve_window_milp};
 pub use evaluate::{evaluate, evaluate_exact, Evaluation, TargetSpec};
 pub use interval::InsInterval;
-pub use legalizer::{LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
+pub use legalizer::{LegalizeCtx, LegalizeError, Legalizer};
 pub use mll::mll;
-// Structured-event layer (see the `mrl-trace` crate): the sink traits, the
-// concrete sinks, the phase ledger, and the failure taxonomy used across
-// the drivers.
+// The run record, the phase ledger and its probe, the trace recorder, and
+// the failure taxonomy used across the drivers (see the `mrl-trace` crate).
 pub use mrl_trace::{
-    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, LaneSink,
-    MetricsSummary, NoopSink, Phase, PhaseTimes, RingSink, Sink, TraceBuf, TraceEvent,
+    AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason, LegalizeStats,
+    MetricsSummary, Phase, PhaseTimes, Probe, TraceBuf, TraceEvent,
 };
 pub use realize::{realize, Realization};
 pub use refine::{refine_rows, RefineStats};

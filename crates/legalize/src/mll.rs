@@ -4,12 +4,12 @@
 use crate::config::LegalizerConfig;
 use crate::enumerate::find_best_insertion_point;
 use crate::evaluate::{Evaluation, TargetSpec};
-use crate::legalizer::{place_cell, LegalizeCtx};
+use crate::legalizer::LegalizeCtx;
 use crate::realize::realize;
 use crate::region::LocalRegion;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::{SitePoint, SiteRect};
-use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, Phase, Sink};
+use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, LegalizeStats, Phase};
 
 /// Runs Multi-row Local Legalization for one unplaced `target` cell at the
 /// site-aligned `pos`, committing the result to `state` on success.
@@ -21,23 +21,24 @@ use mrl_trace::{AttemptOutcome, AttemptRecord, FailReason, Phase, Sink};
 /// window with free space but no valid insertion point. To undo a success,
 /// open a [`PlacementState::savepoint`] before the call.
 ///
-/// Emits an `extract` span around region extraction, a `realize` span
-/// around the commit, and one [`AttemptRecord`] per call carrying the
-/// window, the combo counters this invocation contributed, and the
-/// outcome. `round` is purely diagnostic (stamped into the attempt
-/// record): 0 for first-pass calls, `k` for retry-loop round `k`.
+/// Times region extraction as [`Phase::Extract`] and the commit as
+/// [`Phase::Realize`]. With a trace attached it also records their spans
+/// and one [`AttemptRecord`] per call carrying the window, the combo
+/// counters this invocation contributed, and the outcome. `round` is
+/// purely diagnostic (stamped into the attempt record): 0 for first-pass
+/// calls, `k` for retry-loop round `k`.
 ///
 /// # Errors
 ///
 /// Returns [`DbError::AlreadyPlaced`] if `target` is already placed. Other
 /// database errors indicate an internal inconsistency and are propagated.
-pub fn mll<S: Sink>(
+pub fn mll(
     design: &Design,
     state: &mut PlacementState,
     cfg: &LegalizerConfig,
     target: CellId,
     pos: SitePoint,
-    ctx: &mut LegalizeCtx<S>,
+    ctx: &mut LegalizeCtx,
     round: u32,
 ) -> Result<Result<Evaluation, FailReason>, DbError> {
     if state.is_placed(target) {
@@ -50,10 +51,7 @@ pub fn mll<S: Sink>(
         2 * cfg.rx + cell.width(),
         2 * cfg.ry + cell.height(),
     );
-    let probe = ctx.stats.phases.start();
-    if S::ENABLED {
-        ctx.sink.begin(Phase::Extract);
-    }
+    let probe = ctx.open(Phase::Extract);
     // The region lives in the arena so its SoA buffers stay warm across
     // calls; it is taken out for the duration of this call because the
     // enumeration kernel borrows the arena mutably alongside it.
@@ -65,16 +63,13 @@ pub fn mll<S: Sink>(
         window,
         design.region_of(target),
     );
-    if S::ENABLED {
-        ctx.sink.end(Phase::Extract);
-    }
-    ctx.stats.phases.stop(Phase::Extract, probe);
+    ctx.close(probe);
     // Snapshot the combo counters so the attempt record can report this
     // invocation's contribution rather than the running totals.
     let p = &ctx.stats.phases;
     let combos_before = (p.combos_generated, p.combos_pruned, p.combos_evaluated);
-    let attempt = |ctx: &LegalizeCtx<S>, region: &LocalRegion, outcome: AttemptOutcome| {
-        let p = &ctx.stats.phases;
+    let attempt = |stats: &LegalizeStats, region: &LocalRegion, outcome: AttemptOutcome| {
+        let p = &stats.phases;
         AttemptRecord {
             cell: target.index() as u32,
             height: cell.height() as u8,
@@ -92,10 +87,7 @@ pub fn mll<S: Sink>(
     // "window landed outside every region" is visible in diagnostics.
     if region.height() < cell.height() as usize || region.rows.iter().all(|r| r.is_none()) {
         let reason = FailReason::RegionExtractionEmpty;
-        if S::ENABLED {
-            let rec = attempt(ctx, &region, AttemptOutcome::Fail(reason));
-            ctx.sink.attempt(rec);
-        }
+        ctx.attempt(|stats| attempt(stats, &region, AttemptOutcome::Fail(reason)));
         ctx.arena.region = region;
         return Ok(Err(reason));
     }
@@ -108,35 +100,22 @@ pub fn mll<S: Sink>(
     };
     let Some(point) = find_best_insertion_point(&region, design, &spec, cfg, ctx) else {
         let reason = FailReason::NoInsertionPoint;
-        if S::ENABLED {
-            let rec = attempt(ctx, &region, AttemptOutcome::Fail(reason));
-            ctx.sink.attempt(rec);
-        }
+        ctx.attempt(|stats| attempt(stats, &region, AttemptOutcome::Fail(reason)));
         ctx.arena.region = region;
         return Ok(Err(reason));
     };
-    let probe = ctx.stats.phases.start();
-    if S::ENABLED {
-        ctx.sink.begin(Phase::Realize);
-    }
+    let probe = ctx.open(Phase::Realize);
     let realization = realize(&region, &point, &spec);
     state.shift_batch(design, &realization.moves)?;
     let at = SitePoint::new(realization.target_x, realization.target_row);
-    place_cell(cfg, design, state, target, at)?;
-    if S::ENABLED {
-        ctx.sink.end(Phase::Realize);
-        let rec = attempt(
-            ctx,
-            &region,
-            AttemptOutcome::Mll {
-                x: at.x,
-                y: at.y,
-                cost: point.eval.cost,
-            },
-        );
-        ctx.sink.attempt(rec);
-    }
-    ctx.stats.phases.stop(Phase::Realize, probe);
+    cfg.rail_mode.place(design, state, target, at)?;
+    ctx.close(probe);
+    let outcome = AttemptOutcome::Mll {
+        x: at.x,
+        y: at.y,
+        cost: point.eval.cost,
+    };
+    ctx.attempt(|stats| attempt(stats, &region, outcome));
     ctx.arena.region = region;
     Ok(Ok(point.eval))
 }

@@ -37,11 +37,11 @@
 //! only for the `Shuffled` cell order and the sequential retry loop, both
 //! of which are independent of the thread count.
 
-use crate::legalizer::{place_cell, LegalizeCtx, LegalizeError, LegalizeStats, Legalizer};
+use crate::legalizer::{LegalizeCtx, LegalizeError, Legalizer};
 use crate::scratch::ScratchArena;
 use mrl_db::{CellId, DbError, Design, PlacementState};
 use mrl_geom::SitePoint;
-use mrl_trace::{FailReason, LaneSink, Sink};
+use mrl_trace::{FailReason, LegalizeStats, TraceBuf};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -60,17 +60,17 @@ struct DiffEntry {
 /// Everything a worker reports for one stripe. The stripe index itself is
 /// the slot in [`Sched::results`].
 #[derive(Debug)]
-struct StripeResult<S> {
+struct StripeResult {
     diff: Vec<DiffEntry>,
     /// Cells the first-pass attempt could not place, in visit order, with
     /// the failure reason of the attempt.
     failed: Vec<(CellId, FailReason)>,
     /// The stripe's first-pass counters and phase ledger.
     stats: LegalizeStats,
-    /// The stripe's event sink (one lane per stripe); absorbed into the
-    /// caller's collector in stripe order at the merge so the merged trace
-    /// is independent of the thread count.
-    sink: S,
+    /// The stripe's trace lane, when the run is traced; absorbed into the
+    /// caller's trace in stripe order at the merge so the merged trace is
+    /// independent of the thread count.
+    trace: Option<TraceBuf>,
     /// A database error inside the worker (indicates a bug); the stripe's
     /// diff is discarded and the error propagated at the merge.
     error: Option<LegalizeError>,
@@ -78,13 +78,13 @@ struct StripeResult<S> {
     conflicted: bool,
 }
 
-impl<S> StripeResult<S> {
-    fn empty(sink: S) -> Self {
+impl StripeResult {
+    fn empty(trace: Option<TraceBuf>) -> Self {
         StripeResult {
             diff: Vec::new(),
             failed: Vec::new(),
             stats: LegalizeStats::default(),
-            sink,
+            trace,
             error: None,
             conflicted: false,
         }
@@ -95,12 +95,12 @@ impl<S> StripeResult<S> {
 /// dependency counters, finished stripe results, and the resolution
 /// verdicts of even stripes (`Some(Some(diff))` = validated, `Some(None)` =
 /// discarded, `None` = not yet resolved).
-struct Sched<S> {
+struct Sched {
     ready: VecDeque<usize>,
     /// Stripes not yet claimed by a worker; 0 means workers may exit.
     unclaimed: usize,
     deps_left: Vec<u8>,
-    results: Vec<Option<StripeResult<S>>>,
+    results: Vec<Option<StripeResult>>,
     resolved: Vec<Option<Option<Arc<Vec<DiffEntry>>>>>,
 }
 
@@ -131,29 +131,27 @@ impl Legalizer {
     }
 
     /// [`legalize_parallel`](Legalizer::legalize_parallel) in a
-    /// caller-owned context whose sink collects one lane per stripe.
+    /// caller-owned context.
     ///
-    /// Each stripe records into its own lane (`stripe index + 1`); the
-    /// driver — first-pass bookkeeping and the sequential retry loop —
-    /// records into lane 0. Lanes are absorbed into `ctx.sink` in stripe
-    /// order, so the event sequence (and every derived counter or
-    /// histogram) is identical for any thread count; only timestamps vary.
+    /// With a trace attached, each stripe records into its own lane
+    /// (`stripe index + 1`, forked from `ctx.trace`). The lanes are
+    /// absorbed into `ctx.trace` in (parity, stripe) order, and the
+    /// sequential residue pass then records into `ctx.trace` itself, so
+    /// the event sequence (and every derived counter or histogram) is
+    /// identical for any thread count; only timestamps vary.
     /// The run's statistics land in `ctx.stats` whether or not it
     /// succeeds.
     ///
     /// # Errors
     ///
     /// Same as [`legalize`](Legalizer::legalize).
-    pub fn legalize_parallel_with<S>(
+    pub fn legalize_parallel_with(
         &self,
         design: &Design,
         state: &mut PlacementState,
         threads: usize,
-        ctx: &mut LegalizeCtx<S>,
-    ) -> Result<(), LegalizeError>
-    where
-        S: LaneSink + Sync,
-    {
+        ctx: &mut LegalizeCtx,
+    ) -> Result<(), LegalizeError> {
         let wall = std::time::Instant::now();
         let threads = threads.max(1);
         let cfg = self.config();
@@ -208,7 +206,7 @@ impl Legalizer {
                 .filter(|&j| j < nstripes && active[j])
                 .collect::<Vec<usize>>()
         };
-        let mut sched = Sched::<S::Lane> {
+        let mut sched = Sched {
             ready: VecDeque::new(),
             unclaimed: total,
             deps_left: vec![0; nstripes],
@@ -232,7 +230,7 @@ impl Legalizer {
         let cv = Condvar::new();
         let workers = threads.min(total);
         let master: &PlacementState = state;
-        let lanes = &ctx.sink;
+        let trace = ctx.trace.as_ref();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
@@ -296,7 +294,7 @@ impl Legalizer {
                             has.push(*j);
                         }
                         has.push(t);
-                        let lane = lanes.lane(t as u32 + 1);
+                        let lane = trace.map(|trace| trace.lane(t as u32 + 1));
                         let mut res = if let Some(e) = prep_error {
                             // Applying a validated diff can only fail on an
                             // internal inconsistency; report it via the
@@ -387,22 +385,16 @@ impl Legalizer {
                 stats.phases.merge(&part.phases);
                 stats.fail_counts.merge(&part.fail_counts);
                 residue.extend_from_slice(&res.failed);
-                ctx.sink.absorb(res.sink);
+                if let (Some(trace), Some(lane)) = (&mut ctx.trace, res.trace) {
+                    trace.absorb(lane);
+                }
             }
         }
 
-        // The residue pass runs sequentially on the caller's arena, with
-        // the driver's events in lane 0.
+        // The residue pass runs sequentially in the caller's context, so
+        // its events follow every absorbed stripe.
         ctx.stats.residue = residue.len();
-        let mut driver = LegalizeCtx {
-            arena: std::mem::take(&mut ctx.arena),
-            stats: ctx.stats,
-            sink: ctx.sink.lane(0),
-        };
-        let result = self.retry_loop(design, state, residue, &mut rng, &mut driver);
-        ctx.arena = driver.arena;
-        ctx.stats = driver.stats;
-        ctx.sink.absorb(driver.sink);
+        let result = self.retry_loop(design, state, residue, &mut rng, ctx);
         ctx.stats.wall = wall.elapsed();
         result
     }
@@ -410,22 +402,20 @@ impl Legalizer {
     /// First-pass legalization of one stripe's cells against `local`,
     /// collecting the placement diff instead of touching the master: the
     /// cells a savepoint on `local` journaled, with their final positions.
-    fn run_stripe<S: Sink>(
+    fn run_stripe(
         &self,
         design: &Design,
         local: &mut PlacementState,
         cells: &[CellId],
         arena: &mut ScratchArena,
-        sink: S,
-    ) -> StripeResult<S> {
+        trace: Option<TraceBuf>,
+    ) -> StripeResult {
         let mut ctx = LegalizeCtx {
             arena: std::mem::take(arena),
             stats: LegalizeStats::default(),
-            sink,
+            trace,
         };
-        if S::ENABLED {
-            ctx.sink.counter("stripe.cells", cells.len() as u64);
-        }
+        ctx.counter("stripe.cells", cells.len() as u64);
         let mut failed = Vec::new();
         let mut error = None;
         let sp = local.savepoint();
@@ -463,7 +453,7 @@ impl Legalizer {
             diff,
             failed,
             stats: ctx.stats,
-            sink: ctx.sink,
+            trace: ctx.trace,
             error,
             conflicted: false,
         }
@@ -486,7 +476,9 @@ impl Legalizer {
             state.shift_batch(design, &moves)?;
         }
         for d in diff.iter().filter(|d| d.old.is_none()) {
-            place_cell(self.config(), design, state, d.cell, d.new)?;
+            self.config()
+                .rail_mode
+                .place(design, state, d.cell, d.new)?;
         }
         Ok(())
     }

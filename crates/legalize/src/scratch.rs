@@ -12,7 +12,7 @@
 //! Ownership rules (also documented in DESIGN.md §6):
 //!
 //! * An arena lives in a [`crate::LegalizeCtx`], one per thread, next to
-//!   the run's statistics and trace sink; every MLL-level operation takes
+//!   the run's statistics and optional trace; every MLL-level operation takes
 //!   that context. The sequential driver uses the caller's for its whole
 //!   run, retry loop included; each parallel-stripe worker keeps one arena
 //!   for the stripes it claims; the ECO session keeps one across batches.

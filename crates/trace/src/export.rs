@@ -3,7 +3,7 @@
 //!
 //! Span begin/end pairs are matched per lane (LIFO) and emitted as
 //! complete `"X"` events; a begin with no matching end (e.g. truncated by
-//! the ring capacity) degrades to a raw `"B"` event, an orphaned end to
+//! the lane capacity) degrades to a raw `"B"` event, an orphaned end to
 //! `"E"`. Counters and attempt records are emitted as zero-duration `"X"`
 //! events whose `args` carry the payload, so the whole file is an array of
 //! `ph:"X"/"B"/"E"` events with `pid`/`tid`/`ts`/`dur`/`name` — the subset
@@ -11,8 +11,8 @@
 //! index + 1; 0 = sequential/retry pass), not a physical thread id, which
 //! is what makes the export stable across `--threads N`.
 
+use crate::buf::{TraceBuf, TraceEvent};
 use crate::record::AttemptOutcome;
-use crate::sink::{TraceBuf, TraceEvent};
 use std::fmt::Write as _;
 
 /// Microseconds with nanosecond precision, the unit Trace Event expects.
@@ -121,7 +121,7 @@ impl TraceBuf {
                 }
             }
         }
-        // Truncated spans (begin recorded, end dropped by the ring cap).
+        // Truncated spans (begin recorded, end dropped at lane capacity).
         for (lane, stack) in stacks {
             for (ts_ns, phase) in stack {
                 sep(&mut out);
@@ -138,17 +138,18 @@ impl TraceBuf {
 mod tests {
     use super::*;
     use crate::record::{AttemptRecord, FailReason};
-    use crate::{Phase, Sink};
+    use crate::{Phase, PhaseTimes, Probe};
+    use std::time::Instant;
 
     #[test]
     fn paired_spans_become_complete_events() {
         let mut buf = TraceBuf::new(64);
-        let mut s = buf.lane(3);
-        s.begin(Phase::Enumerate);
-        s.begin(Phase::Evaluate);
-        s.end(Phase::Evaluate);
-        s.end(Phase::Enumerate);
-        buf.absorb(s);
+        let mut lane = Some(buf.lane(3));
+        let mut phases = PhaseTimes::default();
+        let outer = Probe::open(Phase::Enumerate, &mut lane);
+        Probe::open(Phase::Evaluate, &mut lane).close(&mut phases, &mut lane);
+        outer.close(&mut phases, &mut lane);
+        buf.absorb(lane.unwrap());
         let json = buf.to_chrome_json();
         assert!(json.starts_with('['));
         assert!(json.trim_end().ends_with(']'));
@@ -161,10 +162,8 @@ mod tests {
     #[test]
     fn orphans_degrade_to_b_and_e_events() {
         let mut buf = TraceBuf::new(64);
-        let mut s = buf.lane(0);
-        s.begin(Phase::Extract); // never ended
-        s.end(Phase::Realize); // never begun
-        buf.absorb(s);
+        buf.begin(Phase::Extract, Instant::now()); // never ended
+        buf.end(Phase::Realize, Instant::now()); // never begun
         let json = buf.to_chrome_json();
         assert_eq!(json.matches("\"ph\":\"B\"").count(), 1);
         assert_eq!(json.matches("\"ph\":\"E\"").count(), 1);

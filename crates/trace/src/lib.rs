@@ -1,47 +1,50 @@
-//! Structured tracing and per-cell diagnostics for the MLL pipeline.
+//! Structured tracing, the phase ledger and the run record of the MLL
+//! pipeline.
 //!
-//! The legalizer's kernel functions are generic over a [`Sink`] — a
-//! statically dispatched event consumer. The default [`NoopSink`] has
-//! `ENABLED = false`, every call site guards record construction with that
-//! associated constant, and the whole layer monomorphizes away: a
-//! trace-disabled run compiles to exactly the pre-trace hot path (guarded
-//! by the bench harness's throughput gate).
+//! Every legalizer run fills a [`LegalizeStats`], whose [`PhaseTimes`]
+//! ledger is always on. A run may also carry a [`TraceBuf`] (the
+//! legalizer's context holds an `Option<TraceBuf>`); without one, each
+//! event site costs one predictable branch. Both views are fed by the
+//! same [`Probe`] at each phase boundary: it times the phase into the
+//! ledger and, when a trace is attached, records the phase's span at the
+//! same clock readings.
 //!
 //! Three kinds of events exist:
 //!
-//! * **Spans** — begin/end pairs for the five pipeline phases
-//!   ([`Phase`]: extract / enumerate / evaluate / realize / retry),
-//!   nested (evaluate inside enumerate, everything inside retry rounds)
-//!   and lane-tagged.
-//! * **Counters** — named monotonic values sampled at a point in time.
+//! * **Spans** — begin/end pairs for the pipeline phases ([`Phase`]:
+//!   extract / enumerate / evaluate / realize / retry / escalate), nested
+//!   (evaluate inside enumerate, everything inside retry rounds) and
+//!   lane-tagged.
+//! * **Counters** — named values sampled at a point in time.
 //! * **Attempt records** ([`AttemptRecord`]) — one per placement attempt
 //!   of a target cell: height class, window bounds, combo funnel counts,
 //!   chosen insertion point, displacement, retry round, and a
 //!   [`FailReason`] when the attempt failed.
 //!
-//! The recording sink is a bounded ring buffer ([`RingSink`]) tagged with
-//! a *lane*. Lanes are logical, not physical: the parallel driver assigns
-//! `stripe index + 1` (the sequential residue/retry pass is lane 0), so a
-//! trace is a pure function of the stripe schedule and **identical for any
-//! `--threads N`** up to timestamps. Per-lane sinks merge into a
-//! [`TraceBuf`] at the wave barrier, in stripe order.
+//! A [`TraceBuf`] is a bounded recorder tagged with a *lane*. Lanes are
+//! logical, not physical: the parallel driver forks lane `stripe index +
+//! 1` for each stripe and absorbs the finished lanes in stripe order, then
+//! records its sequential residue/retry pass in lane 0. A trace is
+//! therefore a pure function of the stripe schedule and **identical for
+//! any `--threads N`** up to timestamps.
 //!
 //! Consumers: [`TraceBuf::to_chrome_json`] (Chrome/Perfetto Trace Event
-//! JSON) and [`MetricsSummary`] (log2-bucket histograms + counters as
-//! JSON). [`PhaseTimes`] — the aggregate per-phase wall-clock view that
-//! predates this crate — lives here too and stays the cheap always-available
-//! summary; `mrl_legalize` re-exports it at its crate root.
+//! JSON) and [`MetricsSummary`] (the run record, log2-bucket histograms
+//! and counters as JSON). `mrl_legalize` re-exports this crate's public
+//! items at its root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod buf;
 mod export;
 mod metrics;
 mod phase;
 mod record;
-mod sink;
+mod stats;
 
+pub use buf::{TraceBuf, TraceEvent};
 pub use metrics::{Hist, MetricsSummary};
-pub use phase::{Phase, PhaseTimes};
+pub use phase::{Phase, PhaseTimes, Probe};
 pub use record::{AttemptOutcome, AttemptRecord, EscalationCounters, FailCounts, FailReason};
-pub use sink::{LaneSink, NoopSink, RingSink, Sink, TraceBuf, TraceEvent};
+pub use stats::LegalizeStats;

@@ -2,11 +2,11 @@
 //! plus the run's counters, serialized as JSON for `--metrics-json`,
 //! `BENCH_legalize.json`, and `mrl report`.
 
-use crate::phase::{Phase, PhaseTimes};
-use crate::record::{AttemptOutcome, EscalationCounters, FailCounts, FailReason};
-use crate::sink::TraceBuf;
+use crate::buf::TraceBuf;
+use crate::phase::Phase;
+use crate::record::{AttemptOutcome, FailReason};
+use crate::stats::LegalizeStats;
 use std::fmt::Write as _;
-use std::time::Duration;
 
 /// A fixed log2-bucket histogram over `u64` samples.
 ///
@@ -131,38 +131,15 @@ impl Default for Hist {
 pub struct MetricsSummary {
     /// Design name.
     pub design: String,
-    /// Worker threads requested (run section: varies).
-    pub threads: usize,
-    /// End-to-end wall time (run section: varies).
-    pub wall: Duration,
-    /// Per-phase wall clock and call counts. Durations go to the run
-    /// section; call counts and combo counters to the counters section.
-    pub phases: PhaseTimes,
-    /// Cells placed.
-    pub placed: u64,
-    /// Cells placed directly.
-    pub direct: u64,
-    /// Cells placed via MLL.
-    pub via_mll: u64,
-    /// MLL invocations (including failed).
-    pub mll_calls: u64,
-    /// Driver retry rounds.
-    pub retry_rounds: u64,
-    /// Parallel stripes formed (0 = sequential driver).
-    pub stripes: u64,
-    /// Stripes discarded on halo conflicts.
-    pub conflicts: u64,
-    /// Cells handled by the sequential residue/retry pass.
-    pub residue: u64,
-    /// Failed-attempt tally by reason.
-    pub fail_counts: FailCounts,
-    /// Escalation-tier tally (all zero when escalation never engaged).
-    pub escalation: EscalationCounters,
+    /// The run's statistics. `threads`, `wall` and the phase durations go
+    /// to the run section (they vary); the counts go to the counters and
+    /// fail_reasons sections.
+    pub stats: LegalizeStats,
     /// Attempt records observed in the trace.
     pub attempts: u64,
     /// Trace events recorded.
     pub events: u64,
-    /// Trace events dropped by ring capacity.
+    /// Trace events dropped at lane capacity.
     pub dropped_events: u64,
     /// Realized displacement per placed attempt, in rounded site units
     /// (direct placements contribute 0).
@@ -183,8 +160,7 @@ impl MetricsSummary {
     pub const SCHEMA: &'static str = "mrl-metrics-v1";
 
     /// Folds the trace's attempt records and event counts into the
-    /// histograms. The run counters (placed/direct/…) come from the
-    /// driver's stats and are set directly by the caller.
+    /// histograms. The run counters come from [`MetricsSummary::stats`].
     pub fn ingest(&mut self, buf: &TraceBuf) {
         self.events = buf.len() as u64;
         self.dropped_events = buf.dropped();
@@ -216,12 +192,13 @@ impl MetricsSummary {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": \"{}\",", MetricsSummary::SCHEMA);
         // Run section: timing and environment.
+        let st = &self.stats;
         let _ = write!(
             out,
             "  \"run\": {{\"design\": \"{}\", \"threads\": {}, \"wall_s\": {:.6}, \"phases\": {{",
             escape(&self.design),
-            self.threads,
-            self.wall.as_secs_f64()
+            st.threads,
+            st.wall.as_secs_f64()
         );
         for (i, phase) in Phase::ALL.into_iter().enumerate() {
             if i > 0 {
@@ -231,34 +208,38 @@ impl MetricsSummary {
                 out,
                 "\"{}_s\": {:.6}",
                 phase.name(),
-                self.phases.time_of(phase).as_secs_f64()
+                st.phases.time_of(phase).as_secs_f64()
             );
         }
         out.push_str("}},\n");
         // Deterministic counters.
         out.push_str("  \"counters\": {");
+        let p = &st.phases;
         let counters: [(&str, u64); 16] = [
-            ("placed", self.placed),
-            ("direct", self.direct),
-            ("via_mll", self.via_mll),
-            ("mll_calls", self.mll_calls),
-            ("retry_rounds", self.retry_rounds),
-            ("stripes", self.stripes),
-            ("conflicts", self.conflicts),
-            ("residue", self.residue),
+            ("placed", st.placed as u64),
+            ("direct", st.direct as u64),
+            ("via_mll", st.via_mll as u64),
+            ("mll_calls", st.mll_calls as u64),
+            ("retry_rounds", u64::from(st.retry_rounds)),
+            ("stripes", st.stripes as u64),
+            ("conflicts", st.conflicts as u64),
+            ("residue", st.residue as u64),
             ("attempts", self.attempts),
             ("events", self.events),
             ("dropped_events", self.dropped_events),
-            ("extract_calls", self.phases.extract_calls),
-            ("enumerate_calls", self.phases.enumerate_calls),
-            ("evaluate_calls", self.phases.evaluate_calls),
-            ("realize_calls", self.phases.realize_calls),
-            ("combos_generated", self.phases.combos_generated),
+            ("extract_calls", p.extract_calls),
+            ("enumerate_calls", p.enumerate_calls),
+            ("evaluate_calls", p.evaluate_calls),
+            ("realize_calls", p.realize_calls),
+            ("combos_generated", p.combos_generated),
         ];
         for (i, (k, v)) in counters
             .into_iter()
-            .chain([("escalate_calls", self.phases.escalate_calls)])
-            .chain(self.escalation.entries())
+            .chain(st.escalation.entries())
+            .chain([
+                ("combos_pruned", p.combos_pruned),
+                ("combos_evaluated", p.combos_evaluated),
+            ])
             .enumerate()
         {
             if i > 0 {
@@ -266,11 +247,7 @@ impl MetricsSummary {
             }
             let _ = write!(out, "\"{k}\": {v}");
         }
-        let _ = writeln!(
-            out,
-            ", \"combos_pruned\": {}, \"combos_evaluated\": {}}},",
-            self.phases.combos_pruned, self.phases.combos_evaluated
-        );
+        out.push_str("},\n");
         // Failure reasons (snake_case keys).
         out.push_str("  \"fail_reasons\": {");
         for (i, reason) in FailReason::ALL.into_iter().enumerate() {
@@ -281,7 +258,7 @@ impl MetricsSummary {
                 out,
                 "\"{}\": {}",
                 reason.code().replace('-', "_"),
-                self.fail_counts.get(reason)
+                st.fail_counts.get(reason)
             );
         }
         out.push_str("},\n");
@@ -326,7 +303,6 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::record::AttemptRecord;
-    use crate::Sink;
 
     #[test]
     fn bucket_boundaries_are_log2() {
@@ -356,7 +332,6 @@ mod tests {
     #[test]
     fn ingest_buckets_attempts_by_outcome() {
         let mut buf = TraceBuf::new(64);
-        let mut s = buf.lane(0);
         let base = AttemptRecord {
             cell: 0,
             height: 1,
@@ -368,8 +343,8 @@ mod tests {
             combos_evaluated: 2,
             outcome: AttemptOutcome::Direct { x: 1, y: 0 },
         };
-        s.attempt(base);
-        s.attempt(AttemptRecord {
+        buf.attempt(base);
+        buf.attempt(AttemptRecord {
             outcome: AttemptOutcome::Mll {
                 x: 3,
                 y: 0,
@@ -378,11 +353,10 @@ mod tests {
             retry_round: 2,
             ..base
         });
-        s.attempt(AttemptRecord {
+        buf.attempt(AttemptRecord {
             outcome: AttemptOutcome::Fail(FailReason::NoInsertionPoint),
             ..base
         });
-        buf.absorb(s);
         let mut m = MetricsSummary::default();
         m.ingest(&buf);
         assert_eq!(m.attempts, 3);
@@ -445,11 +419,11 @@ mod tests {
     fn json_has_fixed_sections() {
         let mut m = MetricsSummary {
             design: "t\"est".into(),
-            threads: 4,
-            placed: 10,
             ..MetricsSummary::default()
         };
-        m.fail_counts.record(FailReason::NoInsertionPoint);
+        m.stats.threads = 4;
+        m.stats.placed = 10;
+        m.stats.fail_counts.record(FailReason::NoInsertionPoint);
         let json = m.to_json_string();
         assert!(json.contains("\"schema\": \"mrl-metrics-v1\""));
         assert!(json.contains("\"design\": \"t\\\"est\""));
@@ -458,7 +432,10 @@ mod tests {
         assert!(json.contains("\"escalation_exhausted\": 0"));
         assert!(json.contains("\"escalation_engaged\": 0"));
         assert!(json.contains("\"ilp_placed\": 0"));
-        assert!(json.contains("\"escalate_calls\": 0"));
+        assert!(json.contains("\"placed\": 10"));
+        assert!(json.contains("\"threads\": 4"));
+        // Escalation runs are counted once, as `escalation_engaged`.
+        assert!(!json.contains("escalate_calls"));
         assert!(json.contains("\"displacement_sites\""));
         assert!(json.contains("\"extract_s\""));
         // Braces balance (cheap well-formedness check; the real parse

@@ -3,17 +3,20 @@
 //! A [`PhaseTimes`] accumulates call counts and wall-clock time for the
 //! pipeline phases (extract / enumerate / evaluate / realize / retry /
 //! escalate). It always records: every legalizer entry point carries one
-//! inside the run's `LegalizeStats`, and a probe costs two clock reads.
+//! inside the run's [`crate::LegalizeStats`]. A [`Probe`] times one phase
+//! boundary with two clock reads and, when a trace is attached, records
+//! the phase's span at the same two readings.
 //!
 //! Phase nesting: `evaluate` time is spent *inside* `enumerate` (candidate
 //! scoring during the scanline), and `retry` is the wall time of the whole
 //! retry loop, which itself calls extract/enumerate/realize. The phases are
 //! therefore not disjoint; see `PhaseTimes` field docs.
 
+use crate::buf::TraceBuf;
 use std::time::{Duration, Instant};
 
-/// One pipeline phase: the key for [`PhaseTimes::stop`] and the span kind
-/// of [`crate::Sink::begin`]/[`crate::Sink::end`].
+/// One pipeline phase: the ledger row a [`Probe`] adds to and the kind of
+/// the span it records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Local-region extraction from the occupancy index.
@@ -57,9 +60,8 @@ impl Phase {
     }
 }
 
-/// Wall-clock time and call counts per pipeline phase.
-///
-/// Probes are `start()`/`stop(phase, probe)` pairs.
+/// Wall-clock time and call counts per pipeline phase, filled by
+/// [`Probe`]s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Time extracting local regions.
@@ -82,10 +84,9 @@ pub struct PhaseTimes {
     pub retry: Duration,
     /// Retry rounds timed.
     pub retry_rounds: u64,
-    /// Wall time inside the escalation ladder (subset of `retry`).
+    /// Wall time inside the escalation ladder (subset of `retry`). Its
+    /// invocations are counted by `EscalationCounters::engaged`.
     pub escalate: Duration,
-    /// Escalation pipeline invocations (one per escalated target cell).
-    pub escalate_calls: u64,
     /// Valid insertion-point combinations the scanline generated.
     pub combos_generated: u64,
     /// Combinations discarded by the branch-and-bound lower bound before
@@ -96,17 +97,9 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Starts a probe.
+    /// Attributes `dt` to `phase` and counts one call (escalation excepted).
     #[inline]
-    pub fn start(&self) -> Instant {
-        Instant::now()
-    }
-
-    /// Ends a probe started by [`PhaseTimes::start`], attributing the
-    /// elapsed time to `phase` and bumping its call count.
-    #[inline]
-    pub fn stop(&mut self, phase: Phase, probe: Instant) {
-        let dt = probe.elapsed();
+    fn add(&mut self, phase: Phase, dt: Duration) {
         match phase {
             Phase::Extract => {
                 self.extract += dt;
@@ -128,10 +121,7 @@ impl PhaseTimes {
                 self.retry += dt;
                 self.retry_rounds += 1;
             }
-            Phase::Escalate => {
-                self.escalate += dt;
-                self.escalate_calls += 1;
-            }
+            Phase::Escalate => self.escalate += dt,
         }
     }
 
@@ -152,17 +142,9 @@ impl PhaseTimes {
         self.retry += other.retry;
         self.retry_rounds += other.retry_rounds;
         self.escalate += other.escalate;
-        self.escalate_calls += other.escalate_calls;
         self.combos_generated += other.combos_generated;
         self.combos_pruned += other.combos_pruned;
         self.combos_evaluated += other.combos_evaluated;
-    }
-
-    /// Exclusive pipeline time: extract + enumerate + realize. (`evaluate`
-    /// is inside `enumerate`, and `retry` overlaps everything, so neither
-    /// is added.)
-    pub fn pipeline_total(&self) -> Duration {
-        self.extract + self.enumerate + self.realize
     }
 
     /// Wall time attributed to `phase`.
@@ -176,34 +158,85 @@ impl PhaseTimes {
             Phase::Escalate => self.escalate,
         }
     }
+}
 
-    /// Call count attributed to `phase` (`retry_rounds` for retry).
-    pub fn calls_of(&self, phase: Phase) -> u64 {
-        match phase {
-            Phase::Extract => self.extract_calls,
-            Phase::Enumerate => self.enumerate_calls,
-            Phase::Evaluate => self.evaluate_calls,
-            Phase::Realize => self.realize_calls,
-            Phase::Retry => self.retry_rounds,
-            Phase::Escalate => self.escalate_calls,
+/// One open phase boundary: [`Probe::open`] reads the clock and
+/// [`Probe::close`] reads it again, adds the elapsed time and one call to
+/// the phase's ledger row, and — when a trace is attached — records the
+/// phase's begin and end events at the same two readings.
+#[must_use = "a probe records nothing until it is closed"]
+#[derive(Debug)]
+pub struct Probe {
+    phase: Phase,
+    start: Instant,
+}
+
+impl Probe {
+    /// Opens `phase`, and its span in `trace` if one is attached.
+    #[inline]
+    pub fn open(phase: Phase, trace: &mut Option<TraceBuf>) -> Probe {
+        let start = Instant::now();
+        if let Some(trace) = trace {
+            trace.begin(phase, start);
         }
+        Probe { phase, start }
+    }
+
+    /// Closes the probe into `phases`, and its span in `trace` if one is
+    /// attached.
+    #[inline]
+    pub fn close(self, phases: &mut PhaseTimes, trace: &mut Option<TraceBuf>) {
+        let now = Instant::now();
+        if let Some(trace) = trace {
+            trace.end(self.phase, now);
+        }
+        phases.add(self.phase, now.saturating_duration_since(self.start));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buf::TraceEvent;
 
     #[test]
     fn probes_accumulate() {
         let mut t = PhaseTimes::default();
-        let probe = t.start();
-        t.stop(Phase::Enumerate, probe);
+        Probe::open(Phase::Enumerate, &mut None).close(&mut t, &mut None);
         assert_eq!(t.enumerate_calls, 1);
-        let probe = t.start();
-        t.stop(Phase::Enumerate, probe);
+        Probe::open(Phase::Enumerate, &mut None).close(&mut t, &mut None);
         assert_eq!(t.enumerate_calls, 2);
         assert_eq!(t.extract_calls, 0);
+    }
+
+    #[test]
+    fn a_traced_probe_records_its_span_at_the_ledger_readings() {
+        let mut t = PhaseTimes::default();
+        let mut trace = Some(TraceBuf::new(16));
+        let outer = Probe::open(Phase::Retry, &mut trace);
+        Probe::open(Phase::Escalate, &mut trace).close(&mut t, &mut trace);
+        outer.close(&mut t, &mut trace);
+        assert_eq!(t.retry_rounds, 1);
+        let events = trace.unwrap().events().to_vec();
+        let spans: Vec<(bool, Phase)> = events
+            .iter()
+            .map(|&(_, ev)| match ev {
+                TraceEvent::Begin { phase, .. } => (true, phase),
+                TraceEvent::End { phase, .. } => (false, phase),
+                _ => unreachable!("a probe records only spans"),
+            })
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                (true, Phase::Retry),
+                (true, Phase::Escalate),
+                (false, Phase::Escalate),
+                (false, Phase::Retry)
+            ]
+        );
+        let (begin, end) = (events[0].1.ts_ns(), events[3].1.ts_ns());
+        assert_eq!(Duration::from_nanos(end - begin), t.retry);
     }
 
     #[test]
@@ -212,8 +245,7 @@ mod tests {
         t.combos_generated += 3;
         t.combos_pruned += 2;
         t.combos_evaluated += 1;
-        let probe = t.start();
-        t.stop(Phase::Realize, probe);
+        Probe::open(Phase::Realize, &mut None).close(&mut t, &mut None);
         let mut sum = PhaseTimes::default();
         sum.merge(&t);
         sum.merge(&t);
@@ -221,19 +253,10 @@ mod tests {
         assert_eq!(sum.combos_pruned, 4);
         assert_eq!(sum.combos_evaluated, 2);
         assert_eq!(sum.realize_calls, 2);
-        assert!(sum.pipeline_total() >= sum.realize);
     }
 
     #[test]
     fn phase_accessors_cover_all_phases() {
-        let mut t = PhaseTimes::default();
-        for phase in Phase::ALL {
-            let probe = t.start();
-            t.stop(phase, probe);
-        }
-        for phase in Phase::ALL {
-            assert_eq!(t.calls_of(phase), 1, "{}", phase.name());
-        }
         let by_field = PhaseTimes {
             extract: Duration::from_nanos(1),
             enumerate: Duration::from_nanos(2),
