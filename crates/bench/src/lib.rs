@@ -24,7 +24,7 @@
 
 use mrl_baselines::{AbacusLegalizer, IlpLegalizer, LocalSolver, TetrisLegalizer};
 use mrl_db::{Design, PlacementState};
-use mrl_legalize::{EvalMode, Legalizer, LegalizerConfig, PowerRailMode};
+use mrl_legalize::{Legalizer, LegalizerConfig, PowerRailMode};
 use mrl_metrics::{check_legal, displacement_stats, hpwl_change, RailCheck, Table};
 use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
 use std::time::Instant;
@@ -78,8 +78,6 @@ pub fn results_to_json(results: &[BenchResult]) -> Json {
 pub enum Method {
     /// The paper's MLL algorithm (approximate evaluation, the default).
     Mll,
-    /// MLL with exact insertion-point evaluation (ablation).
-    MllExact,
     /// The ILP-optimal baseline via exhaustive-exact local solves (same
     /// optimum as the MILP, practical at scale).
     IlpOracle,
@@ -97,7 +95,6 @@ impl Method {
     pub fn label(self) -> &'static str {
         match self {
             Method::Mll => "Ours",
-            Method::MllExact => "Ours(exact)",
             Method::IlpOracle => "ILP",
             Method::IlpMilp => "ILP(milp)",
             Method::Abacus => "Abacus",
@@ -193,9 +190,6 @@ pub fn run_method(design: &Design, method: Method, aligned: bool, seed: u64) -> 
     let start = Instant::now();
     let outcome = match method {
         Method::Mll => Legalizer::new(cfg).legalize(design, &mut state),
-        Method::MllExact => {
-            Legalizer::new(cfg.with_eval_mode(EvalMode::Exact)).legalize(design, &mut state)
-        }
         Method::IlpOracle => {
             IlpLegalizer::new(cfg, LocalSolver::ExhaustiveExact).legalize(design, &mut state)
         }

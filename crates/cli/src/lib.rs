@@ -30,8 +30,8 @@ use mrl_bench::json::Json;
 use mrl_db::{Design, PlacementState};
 use mrl_gp::{GlobalPlacer, GpConfig};
 use mrl_legalize::{
-    refine_rows, DetailedConfig, DetailedPlacer, EvalMode, LegalizeCtx, Legalizer, LegalizerConfig,
-    PowerRailMode, TraceBuf,
+    refine_rows, DetailedConfig, DetailedPlacer, EscalationCounters, EvalMode, FailReason,
+    LegalizeCtx, Legalizer, LegalizerConfig, Phase, PowerRailMode, TraceBuf,
 };
 use mrl_metrics::{
     check_legal, displacement_stats, hpwl_change, render_svg, RailCheck, SvgOptions,
@@ -344,16 +344,18 @@ fn report_text(json: &Json) -> Result<String, CliError> {
             .and_then(Json::as_f64)
             .unwrap_or(0.0)
     };
+    // The keys come from the lists the metrics JSON writer iterates, so the
+    // digest cannot miss a phase, fail reason or escalation counter.
+    let phases: Vec<String> = Phase::ALL
+        .into_iter()
+        .map(|p| format!("{} {:.3}s", p.name(), phase(&format!("{}_s", p.name()))))
+        .collect();
     let _ = writeln!(
         out,
-        "  run: {} threads, {:.3}s wall (extract {:.3}s, enumerate {:.3}s, evaluate {:.3}s, realize {:.3}s, retry {:.3}s)",
+        "  run: {} threads, {:.3}s wall ({})",
         run("threads") as u64,
         run("wall_s"),
-        phase("extract_s"),
-        phase("enumerate_s"),
-        phase("evaluate_s"),
-        phase("realize_s"),
-        phase("retry_s"),
+        phases.join(", "),
     );
     let c = |key: &str| get_u64(json, "counters", key);
     let _ = writeln!(
@@ -365,6 +367,14 @@ fn report_text(json: &Json) -> Result<String, CliError> {
         c("mll_calls"),
         c("retry_rounds"),
     );
+    if c("escalation_engaged") > 0 {
+        let tiers: Vec<String> = EscalationCounters::default()
+            .entries()
+            .into_iter()
+            .map(|(key, _)| format!("{} {key}", c(key)))
+            .collect();
+        let _ = writeln!(out, "  escalation: {}", tiers.join(", "));
+    }
     if c("stripes") > 0 {
         let _ = writeln!(
             out,
@@ -386,14 +396,14 @@ fn report_text(json: &Json) -> Result<String, CliError> {
         "  combos: {generated} generated, {pruned} pruned ({pct:.1}%), {} evaluated",
         c("combos_evaluated"),
     );
-    let f = |key: &str| get_u64(json, "fail_reasons", key);
-    let _ = writeln!(
-        out,
-        "  failures: {} no-insertion-point, {} region-extraction-empty, {} retry-budget-exhausted",
-        f("no_insertion_point"),
-        f("region_extraction_empty"),
-        f("retry_budget_exhausted"),
-    );
+    let failures: Vec<String> = FailReason::ALL
+        .into_iter()
+        .map(|r| {
+            let n = get_u64(json, "fail_reasons", &r.code().replace('-', "_"));
+            format!("{n} {}", r.code())
+        })
+        .collect();
+    let _ = writeln!(out, "  failures: {}", failures.join(", "));
     let _ = writeln!(
         out,
         "  trace: {} attempts, {} events ({} dropped)",
@@ -974,7 +984,9 @@ mod tests {
     }
 
     /// `--metrics-json` carries the escalation counters the text output
-    /// prints. des_perf_1 at 1/20 scale, seed 1, engages the ladder.
+    /// prints, and `mrl report` lists every fail reason and escalation
+    /// counter of it with the same values. des_perf_1 at 1/20 scale, seed
+    /// 1, engages the ladder.
     #[test]
     fn metrics_json_escalation_counters_match_the_printed_line() {
         let dir = tmpdir("esc_metrics");
@@ -1024,6 +1036,36 @@ mod tests {
             printed.starts_with(&expected),
             "printed: {printed}\njson:    {expected}"
         );
+
+        let m = metrics.to_str().unwrap();
+        let digest = run(&args(&["report", "--metrics-json", m])).unwrap();
+        // A digest line `label: 3 a, 4 b` as [("a", 3), ("b", 4)].
+        let items = |label: &str| -> Vec<(String, u64)> {
+            let rest = digest
+                .lines()
+                .find_map(|l| l.trim_start().strip_prefix(label))
+                .unwrap_or_else(|| panic!("no `{label}` line:\n{digest}"));
+            rest.split(',')
+                .map(|item| {
+                    let (n, key) = item.trim().split_once(' ').unwrap();
+                    (key.to_string(), n.parse().unwrap())
+                })
+                .collect()
+        };
+        let reasons: Vec<(String, u64)> = FailReason::ALL
+            .into_iter()
+            .map(|r| {
+                let n = get_u64(&json, "fail_reasons", &r.code().replace('-', "_"));
+                (r.code().to_string(), n)
+            })
+            .collect();
+        assert_eq!(items("failures:"), reasons, "{digest}");
+        let counters: Vec<(String, u64)> = EscalationCounters::default()
+            .entries()
+            .into_iter()
+            .map(|(key, _)| (key.to_string(), c(key)))
+            .collect();
+        assert_eq!(items("escalation:"), counters, "{digest}");
     }
 
     #[test]

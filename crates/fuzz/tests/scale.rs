@@ -1,7 +1,7 @@
 //! Invariant checks at bench scale (64 000 cells): the scaling path
-//! (subrow spatial index, SoA extraction kernel, work-stealing stripe
-//! scheduler) cross-validated on a design three orders of magnitude larger
-//! than the shrinker-sized scenarios of the seed-0 campaign.
+//! (subrow spatial index, SoA extraction kernel, two-wave stripe driver)
+//! cross-validated on a design three orders of magnitude larger than the
+//! shrinker-sized scenarios of the seed-0 campaign.
 //!
 //! The full matrix's "parallel equals sequential" check only holds on
 //! floorplans narrower than one stripe (every campaign scenario): with
@@ -14,7 +14,7 @@
 //!   lists and interleaved extent keys) equals a linear rebuild from the
 //!   authoritative positions (`PlacementState::verify_index`);
 //! * **prune invariance** — branch-and-bound equals exhaustive search;
-//! * **thread invariance** — the stripe scheduler is bit-identical across
+//! * **thread invariance** — the stripe driver is bit-identical across
 //!   1, 2, and 4 worker threads.
 //!
 //! Ignored by default — this is seconds of release-mode work — and run
@@ -78,8 +78,8 @@ fn invariants_hold_at_64k() {
         "pruned and exhaustive sequential searches disagree"
     );
 
-    // Thread invariance: the work-stealing scheduler is deterministic in
-    // the thread count.
+    // Thread invariance: which worker runs which stripe of a wave does not
+    // change the placement.
     let p1 = positions(&par);
     for threads in [2usize, 4] {
         assert_eq!(

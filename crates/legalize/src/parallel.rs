@@ -9,24 +9,21 @@
 //! window read or mutated by cells binned to it, `[x_i − Rx − wmax,
 //! x_{i+1} + Rx + wmax)` — is disjoint from the halo of stripe `i ± 2`.
 //!
-//! Scheduling is work-stealing rather than two global waves: even-indexed
-//! stripes are ready immediately, and each odd stripe becomes ready the
-//! moment both of its even neighbours have *resolved* (finished and had
-//! their diff validated against their halo). Workers pull ready stripes
-//! from a shared queue, so a slow even stripe never stalls distant work
-//! the way a wave barrier would.
+//! The first pass therefore runs in two waves: every even stripe, then
+//! every odd stripe. In a wave, up to `threads` workers claim the next
+//! stripe from one atomic counter and run it on the worker's own clone of
+//! the master placement, taken at the start of the wave. A worker reports
+//! a per-stripe *diff* (cells placed or shifted) read from a savepoint it
+//! opens on its clone for the stripe. Whatever else the clone absorbed —
+//! the worker's earlier stripes of the same wave — lies outside the
+//! stripe's halo and is unobservable, so each stripe's result is a pure
+//! function of the master at the start of its wave, independent of thread
+//! count and claim order.
 //!
-//! Workers legalize each stripe against a snapshot of the master placement
-//! plus the validated diffs of its even neighbours, and report a per-stripe
-//! *diff* (cells placed or shifted) read from a savepoint the worker opens
-//! on its snapshot for the stripe. This preserves the wave semantics
-//! exactly: a stripe's computation only reads placement state inside its
-//! halo, validated non-neighbour diffs are halo-disjoint and therefore
-//! unobservable, and a discarded (conflicting) neighbour diff is invisible
-//! in both designs. Each stripe's result is thus a pure function of the
-//! snapshot and the validated diffs of its even neighbours — independent of
-//! thread count and claim order. Diffs are applied to the master in
-//! (parity, stripe) order at the end, so **the final placement is
+//! After each wave the caller walks the results in stripe order: it checks
+//! each diff against its halo, applies it to the master, and merges the
+//! stripe's counters, residue and trace lane. The odd wave thus starts
+//! from exactly the validated even diffs, and **the final placement is
 //! bit-identical for any thread count**, including one. A diff that escapes
 //! its halo (impossible by construction; checked defensively) is discarded
 //! and its stripe's cells join the *residue*: first-pass failures that are
@@ -44,8 +41,7 @@ use mrl_geom::SitePoint;
 use mrl_trace::{FailReason, LegalizeStats, TraceBuf};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One cell's placement change within a stripe.
 #[derive(Clone, Copy, Debug)]
@@ -57,8 +53,7 @@ struct DiffEntry {
     new: SitePoint,
 }
 
-/// Everything a worker reports for one stripe. The stripe index itself is
-/// the slot in [`Sched::results`].
+/// Everything a worker reports for one stripe.
 #[derive(Debug)]
 struct StripeResult {
     diff: Vec<DiffEntry>,
@@ -68,40 +63,12 @@ struct StripeResult {
     /// The stripe's first-pass counters and phase ledger.
     stats: LegalizeStats,
     /// The stripe's trace lane, when the run is traced; absorbed into the
-    /// caller's trace in stripe order at the merge so the merged trace is
-    /// independent of the thread count.
+    /// caller's trace in stripe order after the wave, so the merged trace
+    /// is independent of the thread count.
     trace: Option<TraceBuf>,
-    /// A database error inside the worker (indicates a bug); the stripe's
-    /// diff is discarded and the error propagated at the merge.
+    /// A database error inside the worker (indicates a bug); propagated
+    /// when the caller reaches the stripe.
     error: Option<LegalizeError>,
-    /// Set at the merge when the diff escaped the stripe halo.
-    conflicted: bool,
-}
-
-impl StripeResult {
-    fn empty(trace: Option<TraceBuf>) -> Self {
-        StripeResult {
-            diff: Vec::new(),
-            failed: Vec::new(),
-            stats: LegalizeStats::default(),
-            trace,
-            error: None,
-            conflicted: false,
-        }
-    }
-}
-
-/// Shared scheduler state (one mutex): the ready queue, the per-odd-stripe
-/// dependency counters, finished stripe results, and the resolution
-/// verdicts of even stripes (`Some(Some(diff))` = validated, `Some(None)` =
-/// discarded, `None` = not yet resolved).
-struct Sched {
-    ready: VecDeque<usize>,
-    /// Stripes not yet claimed by a worker; 0 means workers may exit.
-    unclaimed: usize,
-    deps_left: Vec<u8>,
-    results: Vec<Option<StripeResult>>,
-    resolved: Vec<Option<Option<Arc<Vec<DiffEntry>>>>>,
 }
 
 impl Legalizer {
@@ -161,10 +128,6 @@ impl Legalizer {
         };
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         let unplaced = self.ordered_unplaced(design, state, &mut rng);
-        if unplaced.is_empty() {
-            ctx.stats.wall = wall.elapsed();
-            return Ok(());
-        }
 
         // Stripe geometry. `wmax` ranges over all movable cells: any of
         // them may be shifted by an MLL realization.
@@ -187,179 +150,49 @@ impl Legalizer {
             stripes[idx].push(cell);
         }
         ctx.stats.stripes = stripes.iter().filter(|s| !s.is_empty()).count();
-
-        let active: Vec<bool> = stripes.iter().map(|s| !s.is_empty()).collect();
-        let total = ctx.stats.stripes;
         let halo_of = |i: usize| {
             let x0 = bounds.x + i as i32 * stripe_w;
             (x0 - cfg.rx - wmax, x0 + stripe_w + cfg.rx + wmax)
         };
-        // Dependency-resolved work-stealing schedule: even stripes are
-        // ready at once; odd stripe `i` becomes ready when its active even
-        // neighbours (`i ± 1`) have resolved. The wave structure is thus a
-        // special case (every even before every odd), but workers here flow
-        // straight into ready odd stripes instead of idling at a barrier.
-        let even_neighbors = |i: usize| {
-            [i.checked_sub(1), Some(i + 1)]
-                .into_iter()
-                .flatten()
-                .filter(|&j| j < nstripes && active[j])
-                .collect::<Vec<usize>>()
-        };
-        let mut sched = Sched {
-            ready: VecDeque::new(),
-            unclaimed: total,
-            deps_left: vec![0; nstripes],
-            results: (0..nstripes).map(|_| None).collect(),
-            resolved: vec![None; nstripes],
-        };
-        for (i, &is_active) in active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            if i % 2 == 0 {
-                sched.ready.push_back(i);
-            } else {
-                sched.deps_left[i] = even_neighbors(i).len() as u8;
-                if sched.deps_left[i] == 0 {
-                    sched.ready.push_back(i);
-                }
-            }
-        }
-        let sched = Mutex::new(sched);
-        let cv = Condvar::new();
-        let workers = threads.min(total);
-        let master: &PlacementState = state;
-        let trace = ctx.trace.as_ref();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    // Per-worker reusable state: one scratch arena, one
-                    // placement snapshot, and the set of stripe diffs
-                    // (own runs + applied neighbour diffs) the snapshot
-                    // has absorbed since it was cloned.
-                    let mut arena = ScratchArena::new();
-                    let mut local: Option<PlacementState> = None;
-                    let mut has: Vec<usize> = Vec::new();
-                    loop {
-                        // Claim a ready stripe, with the validated diffs of
-                        // its even neighbours (resolved by construction).
-                        let (t, wanted) = {
-                            let mut g = sched.lock().unwrap();
-                            let t = loop {
-                                if g.unclaimed == 0 {
-                                    return;
-                                }
-                                if let Some(t) = g.ready.pop_front() {
-                                    g.unclaimed -= 1;
-                                    break t;
-                                }
-                                g = cv.wait(g).unwrap();
-                            };
-                            let mut wanted: Vec<(usize, Arc<Vec<DiffEntry>>)> = Vec::new();
-                            if t % 2 == 1 {
-                                for j in even_neighbors(t) {
-                                    let outcome =
-                                        g.resolved[j].as_ref().expect("dependency resolved");
-                                    if let Some(diff) = outcome {
-                                        wanted.push((j, Arc::clone(diff)));
-                                    }
-                                }
-                            }
-                            (t, wanted)
-                        };
-                        // The snapshot is reusable iff it has not absorbed
-                        // this stripe's own diff nor a neighbour diff
-                        // outside the wanted set; everything further away
-                        // is halo-disjoint and unobservable.
-                        let reuse = local.is_some()
-                            && !has.contains(&t)
-                            && has.iter().all(|&h| {
-                                (h + 1 != t && h != t + 1) || wanted.iter().any(|&(j, _)| j == h)
-                            });
-                        if !reuse {
-                            local = Some(master.clone());
-                            has.clear();
-                        }
-                        let lstate = local.as_mut().expect("snapshot prepared");
-                        let mut prep_error: Option<DbError> = None;
-                        for (j, diff) in &wanted {
-                            if has.contains(j) {
-                                continue;
-                            }
-                            if let Err(e) = self.apply_diff(design, lstate, diff) {
-                                prep_error = Some(e);
-                                break;
-                            }
-                            has.push(*j);
-                        }
-                        has.push(t);
-                        let lane = trace.map(|trace| trace.lane(t as u32 + 1));
-                        let mut res = if let Some(e) = prep_error {
-                            // Applying a validated diff can only fail on an
-                            // internal inconsistency; report it via the
-                            // stripe result like any worker error.
-                            let mut r = StripeResult::empty(lane);
-                            r.error = Some(e.into());
-                            r
-                        } else {
-                            self.run_stripe(design, lstate, &stripes[t], &mut arena, lane)
-                        };
-                        // Resolve: even stripes validate eagerly so their
-                        // dependants can start; the merge reuses this
-                        // verdict (the check is a pure function).
-                        let mut g = sched.lock().unwrap();
-                        if t % 2 == 0 {
-                            let outcome = (res.error.is_none()
-                                && diff_within_halo(design, &res.diff, halo_of(t)))
-                            .then(|| Arc::new(std::mem::take(&mut res.diff)));
-                            g.resolved[t] = Some(outcome);
-                            for j in [t.checked_sub(1), Some(t + 1)].into_iter().flatten() {
-                                if j < nstripes && active[j] && j % 2 == 1 {
-                                    g.deps_left[j] -= 1;
-                                    if g.deps_left[j] == 0 {
-                                        g.ready.push_back(j);
-                                    }
-                                }
-                            }
-                        }
-                        g.results[t] = Some(res);
-                        cv.notify_all();
-                    }
-                });
-            }
-        });
 
-        // Merge in (parity, stripe) order — the exact order the two-wave
-        // scheduler used — so master mutations, statistics, residue, and
-        // trace-event order are independent of claim order and threads.
-        let sched = sched.into_inner().unwrap();
+        // The residue pass runs sequentially in the caller's context, so
+        // its events follow every absorbed stripe.
+        let result = self
+            .first_pass(design, state, &stripes, halo_of, threads, ctx)
+            .and_then(|residue| {
+                ctx.stats.residue = residue.len();
+                self.retry_loop(design, state, residue, &mut rng, ctx)
+            });
+        ctx.stats.wall = wall.elapsed();
+        result
+    }
+
+    /// The first pass: the even wave, then the odd wave. After each wave
+    /// its results are merged into `state` and `ctx` in stripe order, so
+    /// master mutations, statistics, residue and trace-event order do not
+    /// depend on which worker ran which stripe. Returns the residue.
+    fn first_pass(
+        &self,
+        design: &Design,
+        state: &mut PlacementState,
+        stripes: &[Vec<CellId>],
+        halo_of: impl Fn(usize) -> (i32, i32),
+        threads: usize,
+        ctx: &mut LegalizeCtx,
+    ) -> Result<Vec<(CellId, FailReason)>, LegalizeError> {
         let mut residue: Vec<(CellId, FailReason)> = Vec::new();
-        let mut results = sched.results;
-        for parity in 0..2usize {
-            for t in (0..nstripes).filter(|&i| i % 2 == parity && active[i]) {
-                let mut res = results[t].take().expect("stripe ran");
+        for parity in 0..2 {
+            let wave: Vec<usize> = (parity..stripes.len())
+                .step_by(2)
+                .filter(|&i| !stripes[i].is_empty())
+                .collect();
+            for (t, res) in
+                self.run_wave(design, state, stripes, &wave, threads, ctx.trace.as_ref())
+            {
                 if let Some(e) = res.error {
-                    ctx.stats.wall = wall.elapsed();
                     return Err(e);
                 }
-                if parity == 0 {
-                    // Reuse the eager validation verdict.
-                    match sched.resolved[t]
-                        .as_ref()
-                        .expect("even stripe resolved")
-                        .as_ref()
-                    {
-                        Some(diff) => res.diff = diff.to_vec(),
-                        None => {
-                            res.diff.clear();
-                            res.conflicted = true;
-                        }
-                    }
-                } else {
-                    res.conflicted = !diff_within_halo(design, &res.diff, halo_of(t));
-                }
-                if res.conflicted {
+                if !diff_within_halo(design, &res.diff, halo_of(t)) {
                     // Boundary conflict: discard the stripe wholesale —
                     // diff, events, and tallies — and re-legalize its cells
                     // sequentially. The reason is a placeholder: it only
@@ -373,10 +206,7 @@ impl Legalizer {
                     );
                     continue;
                 }
-                if let Err(e) = self.apply_diff(design, state, &res.diff) {
-                    ctx.stats.wall = wall.elapsed();
-                    return Err(e.into());
-                }
+                self.apply_diff(design, state, &res.diff)?;
                 let (stats, part) = (&mut ctx.stats, &res.stats);
                 stats.placed += part.placed;
                 stats.direct += part.direct;
@@ -390,13 +220,50 @@ impl Legalizer {
                 }
             }
         }
+        Ok(residue)
+    }
 
-        // The residue pass runs sequentially in the caller's context, so
-        // its events follow every absorbed stripe.
-        ctx.stats.residue = residue.len();
-        let result = self.retry_loop(design, state, residue, &mut rng, ctx);
-        ctx.stats.wall = wall.elapsed();
-        result
+    /// Runs one wave's stripes on up to `threads` workers. Each worker
+    /// claims the next stripe from a shared counter and runs it on its own
+    /// clone of `master`; stripes of one wave have disjoint halos, so what
+    /// a clone absorbed from the worker's earlier stripes is unobservable.
+    /// Returns `(stripe, result)` pairs in stripe order.
+    fn run_wave(
+        &self,
+        design: &Design,
+        master: &PlacementState,
+        stripes: &[Vec<CellId>],
+        wave: &[usize],
+        threads: usize,
+        trace: Option<&TraceBuf>,
+    ) -> Vec<(usize, StripeResult)> {
+        // `Relaxed` is enough: the counter only hands out wave indices, and
+        // the results come back through `join`.
+        let next = AtomicUsize::new(0);
+        let mut results: Vec<(usize, StripeResult)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads.min(wave.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut local = master.clone();
+                        let mut arena = ScratchArena::new();
+                        let mut done = Vec::new();
+                        while let Some(&t) = wave.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            let lane = trace.map(|trace| trace.lane(t as u32 + 1));
+                            let res =
+                                self.run_stripe(design, &mut local, &stripes[t], &mut arena, lane);
+                            done.push((t, res));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        results.sort_by_key(|&(t, _)| t);
+        results
     }
 
     /// First-pass legalization of one stripe's cells against `local`,
@@ -455,7 +322,6 @@ impl Legalizer {
             stats: ctx.stats,
             trace: ctx.trace,
             error,
-            conflicted: false,
         }
     }
 
