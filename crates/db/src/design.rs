@@ -6,6 +6,7 @@ use crate::{
     Row,
 };
 use mrl_geom::{PowerRail, SiteGrid, SiteRect};
+use std::sync::Arc;
 
 /// An immutable legalization problem instance: the floorplan, all cell
 /// instances, the netlist, and the (possibly overlapping and off-grid)
@@ -15,6 +16,9 @@ use mrl_geom::{PowerRail, SiteGrid, SiteRect};
 /// fractional site coordinates — a global placer is not bound to the site
 /// grid; the legalizer's whole job is to snap cells onto it with minimal
 /// total displacement.
+///
+/// The netlist is immutable once built and shared: clones of a design and
+/// [`Design::with_input_positions`] copies point at the same [`Netlist`].
 #[derive(Clone, Debug)]
 pub struct Design {
     name: String,
@@ -22,7 +26,7 @@ pub struct Design {
     floorplan: Floorplan,
     cells: Vec<Cell>,
     input_pos: Vec<(f64, f64)>,
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     regions: Vec<FenceRegion>,
     cell_region: Vec<Option<RegionId>>,
     /// Total area of the movable cells, kept current by the in-place
@@ -89,7 +93,8 @@ impl Design {
 
     /// A copy of this design with the movable cells' input positions
     /// replaced — how a global placer hands its result to the legalizer.
-    /// Fixed cells keep their original positions.
+    /// Fixed cells keep their original positions. The copy shares this
+    /// design's netlist.
     ///
     /// # Panics
     ///
@@ -111,7 +116,7 @@ impl Design {
 
     /// Replaces one movable cell's input position in place — the ECO
     /// engine's per-edit variant of [`with_input_positions`]
-    /// (which clones the whole design).
+    /// (which clones the design but shares its netlist).
     ///
     /// # Panics
     ///
@@ -585,7 +590,7 @@ impl DesignBuilder {
             floorplan,
             cells: self.cells,
             input_pos: self.input_pos,
-            netlist,
+            netlist: Arc::new(netlist),
             regions: self.regions,
             cell_region: self.cell_region,
             movable_area,

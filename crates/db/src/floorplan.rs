@@ -94,6 +94,9 @@ pub struct Floorplan {
     segments: Vec<Segment>,
     /// Per row, the range of indices into `segments`.
     row_ranges: Vec<Range<u32>>,
+    /// Bounding box of all rows, computed once: rows never change, and
+    /// the legalizer asks for it on every placement attempt.
+    bounds: SiteRect,
 }
 
 impl Floorplan {
@@ -123,12 +126,16 @@ impl Floorplan {
             return Err(DbError::Invalid("floorplan has no rows".into()));
         }
         let (segments, row_ranges) = derive_segments(&rows, &blockages);
+        let x0 = rows.iter().map(|r| r.x).min().unwrap_or(0);
+        let x1 = rows.iter().map(|r| r.right()).max().unwrap_or(0);
+        let bounds = SiteRect::new(x0, 0, x1 - x0, rows.len() as i32);
         Ok(Self {
             rows,
             blockages,
             parity,
             segments,
             row_ranges,
+            bounds,
         })
     }
 
@@ -208,10 +215,8 @@ impl Floorplan {
     }
 
     /// Bounding box of all rows.
-    pub fn bounds(&self) -> SiteRect {
-        let x0 = self.rows.iter().map(|r| r.x).min().unwrap_or(0);
-        let x1 = self.rows.iter().map(|r| r.right()).max().unwrap_or(0);
-        SiteRect::new(x0, 0, x1 - x0, self.num_rows())
+    pub const fn bounds(&self) -> SiteRect {
+        self.bounds
     }
 
     /// Total unblocked placement capacity in sites.

@@ -74,8 +74,10 @@ impl Net {
 pub struct Netlist {
     nets: Vec<Net>,
     pins: Vec<Pin>,
-    /// For each cell, the pins on it (built lazily by `rebuild_cell_index`).
-    cell_pins: Vec<Vec<PinId>>,
+    /// The cell → pins index (built by `rebuild_cell_index`) in CSR form:
+    /// cell `c`'s pins are `cell_pins[cell_pin_start[c]..cell_pin_start[c + 1]]`.
+    cell_pin_start: Vec<u32>,
+    cell_pins: Vec<PinId>,
 }
 
 impl Netlist {
@@ -131,22 +133,38 @@ impl Netlist {
     /// Rebuilds the cell → pins index for `num_cells` cells. Call after all
     /// pins are added (the [`crate::DesignBuilder`] does this).
     pub fn rebuild_cell_index(&mut self, num_cells: usize) {
-        let mut index = vec![Vec::new(); num_cells];
-        for (i, pin) in self.pins.iter().enumerate() {
+        // Counting sort by cell: count, prefix-sum, then scatter in pin
+        // order so each cell's pins stay ascending.
+        let mut start = vec![0u32; num_cells + 1];
+        for pin in &self.pins {
             if let PinLocation::OnCell { cell, .. } = pin.location {
-                index[cell.index()].push(PinId::from_usize(i));
+                start[cell.index() + 1] += 1;
             }
         }
-        self.cell_pins = index;
+        for c in 0..num_cells {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut pins = vec![PinId::new(0); start[num_cells] as usize];
+        for (i, pin) in self.pins.iter().enumerate() {
+            if let PinLocation::OnCell { cell, .. } = pin.location {
+                let slot = &mut next[cell.index()];
+                pins[*slot as usize] = PinId::from_usize(i);
+                *slot += 1;
+            }
+        }
+        self.cell_pin_start = start;
+        self.cell_pins = pins;
     }
 
     /// Pins on a cell (empty if the index was not rebuilt, or for a cell
     /// past its end, such as one appended to a finished design).
     pub fn pins_of_cell(&self, cell: CellId) -> &[PinId] {
-        self.cell_pins
-            .get(cell.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let c = cell.index();
+        match (self.cell_pin_start.get(c), self.cell_pin_start.get(c + 1)) {
+            (Some(&a), Some(&b)) => &self.cell_pins[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// Nets touching a cell (deduplicated, order unspecified).

@@ -34,7 +34,9 @@
 //! * All transient extraction state lives in an [`ExtractScratch`] owned by
 //!   the `ScratchArena` of the caller's `LegalizeCtx`, and the region
 //!   itself is reused across MLL calls (`extract_masked_into` clears, never
-//!   shrinks).
+//!   shrinks). The per-row cell lists of the previous region go back to
+//!   the scratch and are handed out again, so no row list is freed and
+//!   re-grown between calls.
 
 use mrl_db::{CellId, Design, PlacementState, RegionId, SegId};
 use mrl_geom::SiteRect;
@@ -162,6 +164,9 @@ pub struct ExtractScratch {
     merged: Vec<(i32, i32)>,
     chosen: Vec<Option<ChosenRun>>,
     sorted: Vec<(SiteRect, CellId)>,
+    /// Emptied `LocalSeg::cells` lists of earlier regions, reused for the
+    /// rows of the next one.
+    row_lists: Vec<Vec<u32>>,
 }
 
 impl LocalRegion {
@@ -202,7 +207,13 @@ impl LocalRegion {
         window: SiteRect,
         target_region: Option<RegionId>,
     ) {
-        self.rows.clear();
+        scratch
+            .row_lists
+            .extend(self.rows.drain(..).flatten().map(|seg| {
+                let mut cells = seg.cells;
+                cells.clear();
+                cells
+            }));
         self.cells.clear();
         self.bottom_row = 0;
         let fp = design.floorplan();
@@ -412,12 +423,13 @@ impl LocalRegion {
         for &(rect, id) in scratch.sorted.iter() {
             self.cells.push(id, rect);
         }
+        let row_lists = &mut scratch.row_lists;
         self.rows.extend(scratch.chosen.drain(..).map(|run| {
             run.map(|(seg, x0, x1)| LocalSeg {
                 seg,
                 x0,
                 x1,
-                cells: Vec::new(),
+                cells: row_lists.pop().unwrap_or_default(),
             })
         }));
         // Populate row lists bottom-up; cells are x-sorted so lists are too.
@@ -728,6 +740,17 @@ mod tests {
         );
         let mut region = LocalRegion::default();
         let mut scratch = ExtractScratch::default();
+        // The row lists a region holds, as (address, capacity) pairs.
+        let buffers = |r: &LocalRegion| {
+            let mut b: Vec<(usize, usize)> = r
+                .rows
+                .iter()
+                .flatten()
+                .map(|s| (s.cells.as_ptr() as usize, s.cells.capacity()))
+                .collect();
+            b.sort_unstable();
+            b
+        };
         for window in [
             SiteRect::new(0, 0, 12, 2),
             SiteRect::new(15, 0, 10, 1),
@@ -737,6 +760,19 @@ mod tests {
             region.extract_masked_into(&mut scratch, &design, &state, window, None);
             let fresh = LocalRegion::extract(&design, &state, window);
             assert_eq!(region, fresh, "window {window:?}");
+            // Extracting the same window again reuses the same row lists.
+            // Extra capacity marks them: a fresh list would not have it.
+            for seg in region.rows.iter_mut().flatten() {
+                seg.cells.reserve_exact(64);
+            }
+            let first = buffers(&region);
+            region.extract_masked_into(&mut scratch, &design, &state, window, None);
+            assert_eq!(region, fresh, "window {window:?}, second extraction");
+            assert_eq!(
+                buffers(&region),
+                first,
+                "window {window:?}: row lists reallocated"
+            );
         }
     }
 }

@@ -19,13 +19,32 @@
 //! identically** (`write → read → write` is the identity on bytes; see
 //! the round-trip property test). Everything else round-trips exactly;
 //! see the crate-level example.
+//!
+//! # Copies and allocations
+//!
+//! Both directions are sized for ISPD-scale files (des_perf_1 is 20 MB,
+//! superblue12 237 MB), so neither copies what it does not keep:
+//!
+//! * The reader takes tokens as slices of the file text; no line is
+//!   collected into a `Vec`. One `HashMap<&str, CellId>`, keyed by slices
+//!   of the `.nodes` text, maps each name to its last `.nodes` entry. The
+//!   `.pl` and `.nets` passes both look names up there; positions go into
+//!   a `Vec` indexed by node, and the `.nets` pass reads cell sizes from a
+//!   dense array. Only the cells and nets the design keeps get an owned
+//!   name. The file texts and the map are freed before the cell → pin
+//!   index is built.
+//! * The writer writes each file through one 1 MiB `BufWriter`, with no
+//!   `String` per file or per line. The `{:.6}` floats take an exact fast
+//!   path that writes their digits from a stack buffer (its error bound
+//!   is at `push_f6`) and falls back to `core::fmt` for ties, large
+//!   values, NaN and infinities; integers go through `core::fmt`.
 
 use crate::ParseError;
-use mrl_db::{CellId, Design, DesignBuilder};
-use mrl_geom::SiteRect;
+use mrl_db::{CellId, Design, DesignBuilder, PinLocation};
+use mrl_geom::{PowerRail, SiteRect};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Writes `design` as `<base>.aux` plus the four data files into `dir`.
@@ -39,102 +58,173 @@ pub fn write(design: &Design, dir: &Path, base: &str) -> Result<(), ParseError> 
         dir.join(format!("{base}.aux")),
         format!("RowBasedPlacement : {base}.nodes {base}.nets {base}.pl {base}.scl\n"),
     )?;
-    fs::write(dir.join(format!("{base}.nodes")), nodes_text(design))?;
-    fs::write(dir.join(format!("{base}.nets")), nets_text(design))?;
-    fs::write(dir.join(format!("{base}.pl")), pl_text(design))?;
-    fs::write(dir.join(format!("{base}.scl")), scl_text(design))?;
+    let create = |ext: &str| -> io::Result<BufWriter<fs::File>> {
+        let file = fs::File::create(dir.join(format!("{base}.{ext}")))?;
+        Ok(BufWriter::with_capacity(CHUNK, file))
+    };
+    write_nodes(design, create("nodes")?)?;
+    write_nets(design, create("nets")?)?;
+    write_pl(design, create("pl")?)?;
+    write_scl(design, create("scl")?)?;
     Ok(())
 }
 
-fn nodes_text(design: &Design) -> String {
-    let mut out = String::from("UCLA nodes 1.0\n\n");
-    let terminals = design.cells().iter().filter(|c| !c.is_movable()).count();
-    let _ = writeln!(out, "NumNodes : {}", design.num_cells());
-    let _ = writeln!(out, "NumTerminals : {terminals}");
-    for cell in design.cells() {
-        if cell.is_movable() {
-            let rail = match cell.rail() {
-                mrl_geom::PowerRail::Vdd => "",
-                mrl_geom::PowerRail::Vss => " # rail=VSS",
-            };
-            let _ = writeln!(
-                out,
-                "  {} {} {}{rail}",
-                cell.name(),
-                cell.width(),
-                cell.height()
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  {} {} {} terminal",
-                cell.name(),
-                cell.width(),
-                cell.height()
-            );
+/// Capacity of each output file's `BufWriter`.
+const CHUNK: usize = 1 << 20;
+
+/// Room for a sign, 7 digits, a point and 6 more digits.
+const DIGITS: usize = 16;
+
+/// Writes `n` in decimal, zero-padded to at least `width` digits, so
+/// that it ends just before `tmp[end]`; returns where it starts.
+fn put_digits(tmp: &mut [u8; DIGITS], mut end: usize, mut n: u64, width: usize) -> usize {
+    let stop = end - width;
+    loop {
+        end -= 1;
+        tmp[end] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 && end <= stop {
+            return end;
         }
     }
-    out
 }
 
-fn nets_text(design: &Design) -> String {
+/// `2^40`: below it, `|v|·1e6` is off from the exact product by less
+/// than `2^40 · 2^-53 = 2^-13` (one rounding of a product by the exact
+/// `1e6`).
+const F6_FAST_LIMIT: f64 = 1_099_511_627_776.0;
+
+/// Writes `v` exactly as `format!("{v:.6}")` would.
+///
+/// Fast path: with `m = |v|·1e6` below [`F6_FAST_LIMIT`] and its fraction
+/// more than `1e-3` away from ½, the exact product rounds to the same
+/// integer as `m` (the error bound is `2^-13`), so the digits of
+/// `round(m)` with the point six places from the right are the correctly
+/// rounded result. The sign comes from the sign bit, as in `core::fmt`
+/// (`-0.0` and negatives that round to zero print `-0.000000`). Ties and
+/// near-ties, large values, NaN and infinities go through `core::fmt`.
+fn push_f6(w: &mut impl Write, v: f64) -> io::Result<()> {
+    let m = v.abs() * 1e6;
+    if m < F6_FAST_LIMIT {
+        // Below the limit the truncation and the fraction are exact.
+        let whole = m as u64;
+        let frac = m - whole as f64;
+        if (frac - 0.5).abs() > 1e-3 {
+            let r = whole + u64::from(frac > 0.5);
+            let mut tmp = [0u8; DIGITS];
+            let point = put_digits(&mut tmp, DIGITS, r % 1_000_000, 6) - 1;
+            tmp[point] = b'.';
+            let mut i = put_digits(&mut tmp, point, r / 1_000_000, 1);
+            if v.is_sign_negative() {
+                i -= 1;
+                tmp[i] = b'-';
+            }
+            return w.write_all(&tmp[i..]);
+        }
+    }
+    write!(w, "{v:.6}")
+}
+
+fn write_nodes(design: &Design, mut w: impl Write) -> io::Result<()> {
+    let terminals = design.cells().iter().filter(|c| !c.is_movable()).count();
+    writeln!(
+        w,
+        "UCLA nodes 1.0\n\nNumNodes : {}\nNumTerminals : {terminals}",
+        design.num_cells()
+    )?;
+    for cell in design.cells() {
+        w.write_all(b"  ")?;
+        w.write_all(cell.name().as_bytes())?;
+        write!(w, " {} {}", cell.width(), cell.height())?;
+        let tail: &[u8] = if !cell.is_movable() {
+            b" terminal\n"
+        } else if cell.rail() == PowerRail::Vss {
+            b" # rail=VSS\n"
+        } else {
+            b"\n"
+        };
+        w.write_all(tail)?;
+    }
+    w.flush()
+}
+
+fn write_nets(design: &Design, mut w: impl Write) -> io::Result<()> {
     let netlist = design.netlist();
-    let mut out = String::from("UCLA nets 1.0\n\n");
-    let _ = writeln!(out, "NumNets : {}", netlist.num_nets());
-    let _ = writeln!(out, "NumPins : {}", netlist.pins().len());
+    writeln!(
+        w,
+        "UCLA nets 1.0\n\nNumNets : {}\nNumPins : {}",
+        netlist.num_nets(),
+        netlist.pins().len()
+    )?;
     for net in netlist.nets() {
-        let _ = writeln!(out, "NetDegree : {} {}", net.degree(), net.name());
+        write!(w, "NetDegree : {} ", net.degree())?;
+        w.write_all(net.name().as_bytes())?;
+        w.write_all(b"\n")?;
         for &pin in net.pins() {
-            match netlist.pin(pin).location {
-                mrl_db::PinLocation::OnCell { cell, dx, dy } => {
+            let (name, x, y) = match netlist.pin(pin).location {
+                PinLocation::OnCell { cell, dx, dy } => {
                     let c = design.cell(cell);
                     // Bookshelf offsets are from the cell center.
                     let cdx = dx - f64::from(c.width()) / 2.0;
                     let cdy = dy - f64::from(c.height()) / 2.0;
-                    let _ = writeln!(out, "  {} B : {cdx:.6} {cdy:.6}", c.name());
+                    (c.name(), cdx, cdy)
                 }
-                mrl_db::PinLocation::Fixed { x, y } => {
-                    // Fixed pins are modelled as zero-size pseudo
-                    // terminals; rare in our flows, encoded via a
-                    // reserved name.
-                    let _ = writeln!(out, "  __fixed__ B : {x:.6} {y:.6}");
-                }
-            }
+                // Fixed pins are modelled as zero-size pseudo terminals;
+                // rare in our flows, encoded via a reserved name.
+                PinLocation::Fixed { x, y } => ("__fixed__", x, y),
+            };
+            w.write_all(b"  ")?;
+            w.write_all(name.as_bytes())?;
+            w.write_all(b" B : ")?;
+            push_f6(&mut w, x)?;
+            w.write_all(b" ")?;
+            push_f6(&mut w, y)?;
+            w.write_all(b"\n")?;
         }
     }
-    out
+    w.flush()
 }
 
-fn pl_text(design: &Design) -> String {
-    let mut out = String::from("UCLA pl 1.0\n\n");
+fn write_pl(design: &Design, mut w: impl Write) -> io::Result<()> {
+    w.write_all(b"UCLA pl 1.0\n\n")?;
     for (i, cell) in design.cells().iter().enumerate() {
-        let id = CellId::from_usize(i);
-        let (x, y) = design.input_position(id);
-        if cell.is_movable() {
-            let _ = writeln!(out, "{} {x:.6} {y:.6} : N", cell.name());
+        let (x, y) = design.input_position(CellId::from_usize(i));
+        w.write_all(cell.name().as_bytes())?;
+        w.write_all(b" ")?;
+        push_f6(&mut w, x)?;
+        w.write_all(b" ")?;
+        push_f6(&mut w, y)?;
+        let tail: &[u8] = if cell.is_movable() {
+            b" : N\n"
         } else {
-            let _ = writeln!(out, "{} {x:.6} {y:.6} : N /FIXED", cell.name());
-        }
+            b" : N /FIXED\n"
+        };
+        w.write_all(tail)?;
     }
-    out
+    w.flush()
 }
 
-fn scl_text(design: &Design) -> String {
+fn write_scl(design: &Design, mut w: impl Write) -> io::Result<()> {
     let fp = design.floorplan();
-    let mut out = String::from("UCLA scl 1.0\n\n");
-    let _ = writeln!(out, "NumRows : {}", fp.num_rows());
+    writeln!(w, "UCLA scl 1.0\n\nNumRows : {}", fp.num_rows())?;
     for (i, row) in fp.rows().iter().enumerate() {
-        let _ = writeln!(out, "CoreRow Horizontal");
-        let _ = writeln!(out, "  Coordinate : {i}");
-        let _ = writeln!(out, "  Height : 1");
-        let _ = writeln!(out, "  Sitewidth : 1");
-        let _ = writeln!(out, "  Sitespacing : 1");
-        let _ = writeln!(out, "  Siteorient : 1");
-        let _ = writeln!(out, "  Sitesymmetry : 1");
-        let _ = writeln!(out, "  SubrowOrigin : {}  NumSites : {}", row.x, row.width);
-        let _ = writeln!(out, "End");
+        writeln!(w, "CoreRow Horizontal\n  Coordinate : {i}")?;
+        for line in [
+            "  Height : 1",
+            "  Sitewidth : 1",
+            "  Sitespacing : 1",
+            "  Siteorient : 1",
+            "  Sitesymmetry : 1",
+        ] {
+            writeln!(w, "{line}")?;
+        }
+        writeln!(
+            w,
+            "  SubrowOrigin : {}  NumSites : {}\nEnd",
+            row.x, row.width
+        )?;
     }
-    out
+    w.flush()
 }
 
 /// Reads a design from a `.aux` file.
@@ -183,8 +273,7 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
     for (lno, line) in scl.lines().enumerate() {
         let lno = lno + 1;
         let line = strip_comment(line);
-        let mut tokens = line.split_whitespace();
-        match tokens.next() {
+        match line.split_whitespace().next() {
             Some("CoreRow") => {
                 cur = Some(RawRow {
                     site_width: 1.0,
@@ -199,9 +288,10 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
             }
             Some(key) => {
                 if let Some(r) = cur.as_mut() {
-                    let rest: Vec<&str> = line.split(':').collect();
+                    // The first number after the `idx`-th colon.
                     let val = |idx: usize| -> Result<f64, ParseError> {
-                        rest.get(idx)
+                        line.split(':')
+                            .nth(idx)
                             .and_then(|s| s.split_whitespace().next())
                             .and_then(|s| s.parse::<f64>().ok())
                             .ok_or_else(|| {
@@ -224,6 +314,7 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
             None => {}
         }
     }
+    drop(scl);
     if rows.is_empty() {
         return Err(ParseError::syntax(&scl_file, 0, "no CoreRow records"));
     }
@@ -279,14 +370,18 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
     );
 
     // --- .nodes ----------------------------------------------------------
+    // Names stay slices of this text until the cells are built; `index`
+    // maps each name to the `CellId` of its last `.nodes` entry (cells are
+    // created in `.nodes` order).
     let nodes = fs::read_to_string(&nodes_file)?;
-    struct RawNode {
+    struct RawNode<'a> {
+        name: &'a str,
         w: i32,
         h: i32,
         terminal: bool,
-        rail: mrl_geom::PowerRail,
+        rail: PowerRail,
     }
-    let mut raw_nodes: Vec<(String, RawNode)> = Vec::new();
+    let mut raw_nodes: Vec<RawNode> = Vec::new();
     for (lno, line) in nodes.lines().enumerate() {
         let lno = lno + 1;
         // Our rail-polarity extension rides in the comment; read it before
@@ -296,86 +391,88 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
             .nth(1)
             .is_some_and(|c| c.contains("rail=VSS"))
         {
-            mrl_geom::PowerRail::Vss
+            PowerRail::Vss
         } else {
-            mrl_geom::PowerRail::Vdd
+            PowerRail::Vdd
         };
-        let line = strip_comment(line);
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.is_empty()
-            || tokens[0] == "UCLA"
-            || tokens[0] == "NumNodes"
-            || tokens[0] == "NumTerminals"
-        {
-            continue;
-        }
-        if tokens.len() < 3 {
+        let mut tokens = strip_comment(line).split_whitespace();
+        let name = match tokens.next() {
+            None | Some("UCLA" | "NumNodes" | "NumTerminals") => continue,
+            Some(name) => name,
+        };
+        let (Some(w), Some(h)) = (tokens.next(), tokens.next()) else {
             return Err(ParseError::syntax(&nodes_file, lno, "expected: name w h"));
-        }
-        let w: f64 = tokens[1]
+        };
+        let w: f64 = w
             .parse()
             .map_err(|_| ParseError::syntax(&nodes_file, lno, "bad width"))?;
-        let h: f64 = tokens[2]
+        let h: f64 = h
             .parse()
             .map_err(|_| ParseError::syntax(&nodes_file, lno, "bad height"))?;
-        raw_nodes.push((
-            tokens[0].to_string(),
-            RawNode {
-                w: to_sites(w)?,
-                h: to_rows(h)?,
-                terminal: tokens
-                    .get(3)
-                    .is_some_and(|t| t.eq_ignore_ascii_case("terminal")),
-                rail,
-            },
-        ));
+        raw_nodes.push(RawNode {
+            name,
+            w: to_sites(w)?,
+            h: to_rows(h)?,
+            terminal: tokens
+                .next()
+                .is_some_and(|t| t.eq_ignore_ascii_case("terminal")),
+            rail,
+        });
+    }
+    let mut index: HashMap<&str, CellId> = HashMap::with_capacity(raw_nodes.len());
+    for (i, node) in raw_nodes.iter().enumerate() {
+        index.insert(node.name, CellId::from_usize(i));
     }
 
     // --- .pl -------------------------------------------------------------
-    let pl = fs::read_to_string(&pl_file)?;
-    let mut positions: HashMap<String, (f64, f64)> = HashMap::new();
-    for (lno, line) in pl.lines().enumerate() {
-        let lno = lno + 1;
-        let line = strip_comment(line);
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.is_empty() || tokens[0] == "UCLA" {
-            continue;
+    let mut positions: Vec<Option<(f64, f64)>> = vec![None; raw_nodes.len()];
+    {
+        let pl = fs::read_to_string(&pl_file)?;
+        for (lno, line) in pl.lines().enumerate() {
+            let lno = lno + 1;
+            let mut tokens = strip_comment(line).split_whitespace();
+            let name = match tokens.next() {
+                None | Some("UCLA") => continue,
+                Some(name) => name,
+            };
+            let (Some(x), Some(y)) = (tokens.next(), tokens.next()) else {
+                return Err(ParseError::syntax(&pl_file, lno, "expected: name x y"));
+            };
+            let x: f64 = x
+                .parse()
+                .map_err(|_| ParseError::syntax(&pl_file, lno, "bad x"))?;
+            let y: f64 = y
+                .parse()
+                .map_err(|_| ParseError::syntax(&pl_file, lno, "bad y"))?;
+            if let Some(id) = index.get(name) {
+                positions[id.index()] = Some((x / site_w, y / row_h - f64::from(base_row)));
+            }
         }
-        if tokens.len() < 3 {
-            return Err(ParseError::syntax(&pl_file, lno, "expected: name x y"));
-        }
-        let x: f64 = tokens[1]
-            .parse()
-            .map_err(|_| ParseError::syntax(&pl_file, lno, "bad x"))?;
-        let y: f64 = tokens[2]
-            .parse()
-            .map_err(|_| ParseError::syntax(&pl_file, lno, "bad y"))?;
-        positions.insert(
-            tokens[0].to_string(),
-            (x / site_w, y / row_h - f64::from(base_row)),
-        );
     }
 
-    // Create cells.
-    let mut ids: HashMap<String, CellId> = HashMap::new();
-    for (name, node) in &raw_nodes {
+    // Create cells. Same-named nodes share the last one's `.pl` position.
+    for node in &raw_nodes {
+        let position = positions[index[node.name].index()];
         if node.terminal {
-            let &(x, y) = positions.get(name).ok_or_else(|| {
-                ParseError::Semantic(format!("terminal {name} has no .pl position"))
+            let (x, y) = position.ok_or_else(|| {
+                ParseError::Semantic(format!("terminal {} has no .pl position", node.name))
             })?;
-            let id = builder.add_fixed(
-                name.clone(),
+            builder.add_fixed(
+                node.name,
                 SiteRect::new(x.round() as i32, y.round() as i32, node.w, node.h.max(1)),
             );
-            ids.insert(name.clone(), id);
         } else {
-            let id = builder.add_cell_with_rail(name.clone(), node.w, node.h, node.rail);
-            if let Some(&(x, y)) = positions.get(name) {
+            let id = builder.add_cell_with_rail(node.name, node.w, node.h, node.rail);
+            if let Some((x, y)) = position {
                 builder.set_input_position(id, x, y);
             }
-            ids.insert(name.clone(), id);
         }
     }
+    // The `.nets` pass needs only each node's size: a dense array keeps
+    // its random per-pin reads in cache.
+    let sizes: Vec<(i32, i32)> = raw_nodes.iter().map(|n| (n.w, n.h.max(1))).collect();
+    drop(positions);
+    drop(raw_nodes);
 
     // --- .nets -----------------------------------------------------------
     let nets = fs::read_to_string(&nets_file)?;
@@ -383,20 +480,18 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
     for (lno, line) in nets.lines().enumerate() {
         let lno = lno + 1;
         let line = strip_comment(line);
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        if tokens.is_empty()
-            || tokens[0] == "UCLA"
-            || tokens[0] == "NumNets"
-            || tokens[0] == "NumPins"
-        {
-            continue;
-        }
-        if tokens[0] == "NetDegree" {
-            let name = tokens
-                .last()
-                .filter(|t| !t.chars().next().unwrap_or('0').is_ascii_digit())
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| format!("net_{lno}"));
+        let mut tokens = line.split_whitespace();
+        let first = match tokens.next() {
+            None | Some("UCLA" | "NumNets" | "NumPins") => continue,
+            Some(first) => first,
+        };
+        if first == "NetDegree" {
+            let last = tokens.last().unwrap_or(first);
+            let name = if last.as_bytes()[0].is_ascii_digit() {
+                format!("net_{lno}")
+            } else {
+                last.to_string()
+            };
             current_net = Some(builder.add_net(name));
             continue;
         }
@@ -404,44 +499,37 @@ pub fn read(aux_path: &Path) -> Result<Design, ParseError> {
             return Err(ParseError::syntax(&nets_file, lno, "pin before NetDegree"));
         };
         // `name dir : dx dy` (offsets optional).
-        let name = tokens[0];
-        let after_colon: Vec<&str> = line
+        let mut offsets = line
             .split(':')
             .nth(1)
-            .map(|s| s.split_whitespace().collect())
-            .unwrap_or_default();
-        let dx: f64 = after_colon
-            .first()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.0);
-        let dy: f64 = after_colon
-            .get(1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.0);
-        if name == "__fixed__" {
+            .unwrap_or_default()
+            .split_whitespace()
+            .map(|s| s.parse::<f64>().ok());
+        let dx = offsets.next().flatten().unwrap_or(0.0);
+        let dy = offsets.next().flatten().unwrap_or(0.0);
+        if first == "__fixed__" {
             builder.add_fixed_pin(net, dx, dy);
             continue;
         }
-        let &id = ids
-            .get(name)
-            .ok_or_else(|| ParseError::Semantic(format!("pin references unknown cell {name}")))?;
-        let (idx, _) = (id, ());
-        let cell_w;
-        let cell_h;
-        {
-            let node = &raw_nodes[idx.index()].1;
-            cell_w = node.w;
-            cell_h = node.h.max(1);
-        }
+        let &id = index
+            .get(first)
+            .ok_or_else(|| ParseError::Semantic(format!("pin references unknown cell {first}")))?;
+        let (w, h) = sizes[id.index()];
         // Center offsets back to corner offsets, in site units.
         builder.add_cell_pin(
             net,
             id,
-            dx / site_w + f64::from(cell_w) / 2.0,
-            dy / row_h + f64::from(cell_h) / 2.0,
+            dx / site_w + f64::from(w) / 2.0,
+            dy / row_h + f64::from(h) / 2.0,
         );
     }
 
+    // Free the file texts and the name map before `finish` builds the
+    // cell → pin index on top of them.
+    drop(index);
+    drop(sizes);
+    drop(nets);
+    drop(nodes);
     Ok(builder.finish()?)
 }
 
@@ -623,6 +711,80 @@ mod tests {
                         "{tag} seed {seed}: rt.{f} not byte-identical after round trip"
                     );
                 }
+            }
+        }
+    }
+
+    fn f6(v: f64) -> String {
+        let mut buf = Vec::new();
+        push_f6(&mut buf, v).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// `v` moved by `ulps` units in the last place, away from zero for
+    /// positive `ulps` (the sign of `v` is kept).
+    fn nudge(v: f64, ulps: i64) -> f64 {
+        let a = f64::from_bits(v.abs().to_bits().saturating_add_signed(ulps));
+        a.copysign(v)
+    }
+
+    #[test]
+    fn f6_special_values_match_core_fmt() {
+        for v in [
+            0.0,
+            -0.0,
+            -1e-300,
+            -4.9e-7,
+            5e-7,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            F6_FAST_LIMIT / 1e6,
+            -F6_FAST_LIMIT / 1e6,
+        ] {
+            assert_eq!(f6(v), format!("{v:.6}"), "{v:e} ({:#x})", v.to_bits());
+        }
+        assert_eq!(f6(-0.0), "-0.000000");
+        assert_eq!(f6(-1e-9), "-0.000000");
+    }
+
+    // The fast `{:.6}` path must agree with `core::fmt` everywhere: on
+    // arbitrary bit patterns, on six-decimal values a few ulps either
+    // side, on exact and near half-ties (`k/128`, `(n + 0.5)/1e6`), on
+    // ±0 and tiny values of either sign, around the fast path's 2^40/1e6
+    // limit, and on NaN and ±inf.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn f6_matches_core_fmt(
+            bits in proptest::prelude::any::<u64>(),
+            micros in 0u64..(1u64 << 41),
+            k in -(1i64 << 28)..(1i64 << 28),
+            ulps in -4i64..5,
+            wide in -(1i64 << 20)..(1i64 << 20),
+            neg in proptest::prelude::any::<bool>(),
+        ) {
+            let sign = if neg { -1.0 } else { 1.0 };
+            let values = [
+                f64::from_bits(bits),
+                nudge(sign * micros as f64 / 1e6, ulps),
+                nudge(sign * (micros as f64 + 0.5) / 1e6, ulps),
+                nudge(k as f64 / 128.0, ulps),
+                sign * f64::from_bits(bits >> 12) * 1e-300,
+                sign * (bits % 1_000_000) as f64 * 1e-13,
+                nudge(sign * F6_FAST_LIMIT / 1e6, wide),
+                sign * 0.0,
+                sign * f64::INFINITY,
+                f64::NAN,
+            ];
+            for v in values {
+                let want = format!("{v:.6}");
+                proptest::prop_assert!(f6(v) == want, "{v:e} ({:#x}): {} != {want}", v.to_bits(), f6(v));
             }
         }
     }
