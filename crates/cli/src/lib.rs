@@ -951,10 +951,27 @@ mod tests {
     use super::*;
     use mrl_legalize::MetricsSummary;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    /// A per-test directory under the system temp dir, removed on drop —
+    /// also when the test panics.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TmpDir {
         let dir = std::env::temp_dir().join(format!("mrl_cli_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     fn args(s: &[&str]) -> Vec<String> {
@@ -1309,8 +1326,9 @@ mod tests {
         assert!(out.contains("no discrepancies"), "{out}");
     }
 
-    /// Writes a small generated benchmark and returns its .aux path.
-    fn generated_aux(tag: &str) -> PathBuf {
+    /// Writes a small generated benchmark and returns its directory (keep
+    /// it alive while the files are used) and its .aux path.
+    fn generated_aux(tag: &str) -> (TmpDir, PathBuf) {
         let dir = tmpdir(tag);
         run(&args(&[
             "generate",
@@ -1322,7 +1340,8 @@ mod tests {
             dir.to_str().unwrap(),
         ]))
         .unwrap();
-        dir.join("fft_2.aux")
+        let aux = dir.join("fft_2.aux");
+        (dir, aux)
     }
 
     /// First two movable cell indices of a design on disk (the generated
@@ -1439,7 +1458,7 @@ mod tests {
 
     #[test]
     fn serve_applies_scripted_stream_from_file() {
-        let aux = generated_aux("serve");
+        let (_dir, aux) = generated_aux("serve");
         let (m0, m1) = movable_indices(&aux);
         let stream = aux.parent().unwrap().join("stream.ndjson");
         std::fs::write(
@@ -1473,7 +1492,7 @@ mod tests {
 
     #[test]
     fn serve_reports_errors_inline_and_keeps_serving() {
-        let aux = generated_aux("serveerr");
+        let (_dir, aux) = generated_aux("serveerr");
         let stream = aux.parent().unwrap().join("bad.ndjson");
         std::fs::write(
             &stream,
@@ -1498,7 +1517,7 @@ mod tests {
 
     #[test]
     fn serve_zero_budget_rejects_displacing_edits() {
-        let aux = generated_aux("servebudget");
+        let (_dir, aux) = generated_aux("servebudget");
         let stream = aux.parent().unwrap().join("wide.ndjson");
         // A wide insert at an occupied spot must displace neighbors; with
         // --budget 0 the batch rolls back and reports the rejection.
@@ -1529,7 +1548,7 @@ mod tests {
 
     #[test]
     fn serve_answers_over_tcp() {
-        let aux = generated_aux("servetcp");
+        let (_dir, aux) = generated_aux("servetcp");
         let (m0, _) = movable_indices(&aux);
         let mut client = ServeClient::start(&aux, &["--check"]);
         let response = client.ask(&move_request(9, m0));
@@ -1541,7 +1560,7 @@ mod tests {
 
     #[test]
     fn serve_tcp_sequential_requests_skip_the_delayed_ack() {
-        let aux = generated_aux("servetcpseq");
+        let (_dir, aux) = generated_aux("servetcpseq");
         let (m0, _) = movable_indices(&aux);
         let mut client = ServeClient::start(&aux, &[]);
         for id in 0..WARM_UP_ROUND_TRIPS {
@@ -1567,7 +1586,7 @@ mod tests {
 
     #[test]
     fn serve_tcp_pipelined_burst_skips_the_delayed_ack() {
-        let aux = generated_aux("servetcppipe");
+        let (_dir, aux) = generated_aux("servetcppipe");
         let (m0, _) = movable_indices(&aux);
         let mut client = ServeClient::start(&aux, &[]);
         for id in 0..WARM_UP_ROUND_TRIPS {
@@ -1596,7 +1615,7 @@ mod tests {
 
     #[test]
     fn serve_tcp_responses_match_the_input_replay() {
-        let aux = generated_aux("servetcpreplay");
+        let (_dir, aux) = generated_aux("servetcpreplay");
         let (m0, m1) = movable_indices(&aux);
         let mut stream = String::new();
         for id in 0..12 {
@@ -1654,7 +1673,7 @@ mod tests {
 
     #[test]
     fn serve_answers_a_too_deeply_nested_line_and_keeps_serving() {
-        let aux = generated_aux("servenest");
+        let (_dir, aux) = generated_aux("servenest");
         let (m0, _) = movable_indices(&aux);
         let mut client = ServeClient::start(&aux, &[]);
         // 200 KB of `[` used to recurse once per byte and overflow the stack.
@@ -1672,7 +1691,7 @@ mod tests {
 
     #[test]
     fn serve_exposes_metrics_and_health_over_http() {
-        let aux = generated_aux("servemetrics");
+        let (_dir, aux) = generated_aux("servemetrics");
         let (m0, _) = movable_indices(&aux);
         let maddr = format!("127.0.0.1:{}", free_port());
         let metrics_json = aux.parent().unwrap().join("serve_metrics.json");

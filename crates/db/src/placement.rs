@@ -14,7 +14,7 @@
 //! occupancy index**: for every segment, the sorted list of maximal free
 //! gaps `[x0, x1)`. It is updated incrementally on every `place` / `remove`
 //! / `shift_batch` (O(log n) search + O(k) splice per spanned row) and lets
-//! window extraction and free-space queries avoid rescanning the cell lists.
+//! free-space queries avoid rescanning the cell lists.
 //!
 //! # Cache-resident layout (DESIGN.md §9)
 //!
@@ -210,7 +210,7 @@ impl PlacementState {
     }
 
     /// The sorted maximal free gaps `[x0, x1)` of a segment — the occupancy
-    /// index consumed by window extraction and the parallel driver.
+    /// index behind [`span_is_free`](PlacementState::span_is_free).
     pub fn free_gaps(&self, seg: SegId) -> &[(i32, i32)] {
         self.gaps.slice(seg.index())
     }
@@ -431,9 +431,24 @@ impl PlacementState {
     /// Cells of `seg` whose spans intersect the open interval `(x0, x1)`,
     /// as a subslice of the ordered list.
     pub fn cells_intersecting(&self, seg: SegId, x0: i32, x1: i32) -> &[CellId] {
+        self.cells_intersecting_with_extents(seg, x0, x1).0
+    }
+
+    /// [`cells_intersecting`](PlacementState::cells_intersecting) together
+    /// with the matching [`segment_extents`](PlacementState::segment_extents)
+    /// entries: extent `i` is the footprint of cell `i`.
+    pub fn cells_intersecting_with_extents(
+        &self,
+        seg: SegId,
+        x0: i32,
+        x1: i32,
+    ) -> (&[CellId], &[(i32, i32)]) {
         let lo = self.list_lower(seg.index(), x0);
-        let hi = self.list_upper(seg.index(), x1);
-        &self.seg_ids.slice(seg.index())[lo..hi.max(lo)]
+        let hi = self.list_upper(seg.index(), x1).max(lo);
+        (
+            &self.seg_ids.slice(seg.index())[lo..hi],
+            &self.seg_xs.slice(seg.index())[lo..hi],
+        )
     }
 
     /// The nearest cell of `seg` entirely at or left of `x` (its right edge
@@ -1171,6 +1186,14 @@ mod tests {
         assert_eq!(s.cells_intersecting(seg, 2, 6), &[a, b]);
         assert_eq!(s.cells_intersecting(seg, 0, 20), &[a, b, c]);
         assert_eq!(s.cells_intersecting(seg, 13, 14), &[c]);
+        assert_eq!(
+            s.cells_intersecting_with_extents(seg, 2, 6),
+            (&[a, b][..], &[(0, 3), (5, 7)][..])
+        );
+        assert_eq!(
+            s.cells_intersecting_with_extents(seg, 3, 5),
+            (&[][..], &[][..])
+        );
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!    intervals);
 //! 3. `I` joins `Q[r][a]` for every row `r` within `h − 1` of `a`.
 //!
-//! Right endpoints remove the interval from all queues. Power-rail
-//! filtering simply skips windows whose bottom row cannot host the target.
+//! Right endpoints remove the interval from all queues. A one-row target
+//! pairs with no other row, so its scan has no right endpoints and never
+//! touches a queue. Power-rail filtering simply skips windows whose bottom
+//! row cannot host the target.
 //!
 //! # Search strategies
 //!
@@ -203,24 +205,33 @@ fn prepare(
         cfg.rail_mode == PowerRailMode::Relaxed
             || fp.rail_compatible(target.rail, target.h, region.bottom_row + t as i32)
     }));
+    scan_events(intervals, ht > 1, events);
+    true
+}
+
+/// Fills `events` with the scanline endpoints of `intervals` in scan order.
+/// Close events exist only when `close` is set: for a one-row target they
+/// would only remove intervals from pairing queues that nothing reads.
+fn scan_events(intervals: &[InsInterval], close: bool, events: &mut Vec<ScanEvent>) {
     events.clear();
-    events.reserve(intervals.len() * 2);
     for (i, iv) in intervals.iter().enumerate() {
         events.push(ScanEvent {
             x: iv.range.lo,
             close: false,
             idx: i as u32,
         });
-        events.push(ScanEvent {
-            x: iv.range.hi,
-            close: true,
-            idx: i as u32,
-        });
+        if close {
+            events.push(ScanEvent {
+                x: iv.range.hi,
+                close: true,
+                idx: i as u32,
+            });
+        }
     }
     // Left endpoints precede right endpoints at equal x so touching
-    // intervals (zero-width common cutline) still combine.
-    events.sort_by_key(|e| (e.x, e.close));
-    true
+    // intervals (zero-width common cutline) still combine. The index makes
+    // the key total, so equal endpoints keep their push order.
+    events.sort_unstable_by_key(|e| (e.x, e.close, e.idx));
 }
 
 /// The scanline core: invokes `emit(t, interval_ids)` for every valid
@@ -242,11 +253,14 @@ fn generate<F>(
     let ht = target.h as usize;
     let hw = region.height();
     // queues[a * hw + s]: open interval ids of row s pairable with row a.
-    if queues.len() < hw * hw {
-        queues.resize_with(hw * hw, Vec::new);
-    }
-    for q in queues.iter_mut().take(hw * hw) {
-        q.clear();
+    // A one-row target pairs row a with no other row and reads none.
+    if ht > 1 {
+        if queues.len() < hw * hw {
+            queues.resize_with(hw * hw, Vec::new);
+        }
+        for q in queues.iter_mut().take(hw * hw) {
+            q.clear();
+        }
     }
     let pair_lo = |a: usize| a.saturating_sub(ht - 1);
     let pair_hi = |a: usize| (a + ht - 1).min(hw - 1);
@@ -831,6 +845,45 @@ mod tests {
         let pruned = best(&region, &design, &t, &base.clone());
         let full = best(&region, &design, &t, &base.with_prune(false));
         assert_eq!(pruned, full);
+    }
+
+    #[test]
+    fn scan_event_order_matches_stable_sort_of_push_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut events = Vec::new();
+        for _ in 0..500 {
+            // Endpoints from a few values, so many coincide.
+            let intervals: Vec<InsInterval> = (0..rng.gen_range(0..40))
+                .map(|gap| {
+                    let lo = rng.gen_range(0..6);
+                    InsInterval {
+                        row: rng.gen_range(0..4),
+                        gap,
+                        left: None,
+                        right: None,
+                        range: Interval::new(lo, lo + rng.gen_range(0..4)),
+                    }
+                })
+                .collect();
+            // The previous construction: push open and close per interval,
+            // then a stable sort on (x, close).
+            let mut pushed = Vec::new();
+            for (i, iv) in intervals.iter().enumerate() {
+                pushed.push((iv.range.lo, false, i as u32));
+                pushed.push((iv.range.hi, true, i as u32));
+            }
+            pushed.sort_by_key(|&(x, close, _)| (x, close));
+            let keys = |events: &[ScanEvent]| -> Vec<(i32, bool, u32)> {
+                events.iter().map(|e| (e.x, e.close, e.idx)).collect()
+            };
+            scan_events(&intervals, true, &mut events);
+            assert_eq!(keys(&events), pushed);
+            scan_events(&intervals, false, &mut events);
+            pushed.retain(|&(_, close, _)| !close);
+            assert_eq!(keys(&events), pushed);
+        }
     }
 
     #[test]

@@ -20,12 +20,19 @@
 //! Extraction is the dominant phase at scale, so it is structured to be
 //! independent of design size and allocation-free in steady state:
 //!
-//! * Free space per row comes from the occupancy index through
-//!   [`PlacementState::free_gaps_in`] — two binary searches returning only
-//!   the gaps intersecting the window, O(log n + window) instead of a
-//!   linear scan of the segment's whole gap list. That query is checked
-//!   against the linear scan by the `windowed_gap_query_matches_linear_scan`
-//!   property test.
+//! * Each window row is read once. Per segment, one
+//!   [`PlacementState::cells_intersecting_with_extents`] call (two binary
+//!   searches) returns the listed cells near the window with their
+//!   x-extents, and each entry is tagged inside or frozen. A row's free
+//!   runs are the spans between its frozen entries and the segment or
+//!   window ends, minus fence spans: no gap-list query, no per-row sort and
+//!   no scan over the inside cells.
+//! * The fixpoint re-solves only the rows a demotion touched. A row's
+//!   chosen run depends only on that row's entries and the fences, and a
+//!   demoted cell changes only the entries of the rows it spans.
+//! * Local cells come out in `(x, y, id)` order from a stable counting sort
+//!   on x over the window width: inside cells are collected bottom-up, so
+//!   in `(y, x)` order, and no two of them share an `(x, y)` corner.
 //! * Local cells are stored in a struct-of-arrays layout ([`LocalCells`]):
 //!   the enumeration/evaluation kernels touch `x`/`w` (or `y`/`h`) in tight
 //!   loops, and separate arrays keep those loops on dense cache lines. The
@@ -147,26 +154,176 @@ pub struct LocalRegion {
 /// A chosen free run on one row: global segment id plus `[x0, x1)`.
 type ChosenRun = (Option<SegId>, i32, i32);
 
+/// One listed cell of one window row: its footprint `[x0, x1)` and whether
+/// it is still an inside candidate (`false` = frozen).
+#[derive(Clone, Copy, Debug)]
+struct RowEntry {
+    x0: i32,
+    x1: i32,
+    inside: bool,
+}
+
+/// The part of one window row on one segment: the span `[x0, x1)` clipped
+/// to the window, and its listed cells `entries[start..end]`.
+#[derive(Clone, Copy, Debug)]
+struct RowSpan {
+    seg: SegId,
+    x0: i32,
+    x1: i32,
+    start: u32,
+    end: u32,
+}
+
 /// Reusable transient state for [`LocalRegion::extract_masked_into`]: the
-/// inside-cell map, per-row interval buffers, and the fixpoint's chosen
-/// runs. Owned by the `ScratchArena` so steady-state extraction performs no
-/// heap allocations.
+/// window rows' tagged entries, the inside cells, the fixpoint's chosen
+/// runs and the counting-sort buckets. Owned by the `ScratchArena` so
+/// steady-state extraction performs no heap allocations.
 #[derive(Debug, Default)]
 pub struct ExtractScratch {
-    // A flat vector, not a hash map: the inside set is a few dozen cells,
-    // and the hot loop iterates it once per segment per fixpoint pass —
-    // contiguous iteration beats bucket walking, and the extract kernel
-    // stays free of hashing entirely.
+    /// Inside candidates in collection order: bottom row, then x. A flat
+    /// vector, not a hash map: a demoted cell finds its entry on each row it
+    /// spans by binary search on x, so extraction does no hashing.
     inside: Vec<(CellId, SiteRect)>,
-    free: Vec<(i32, i32)>,
+    /// The listed cells of every window row, row by row, x-ordered within
+    /// a row.
+    entries: Vec<RowEntry>,
+    /// The segment spans of every window row, row by row.
+    spans: Vec<RowSpan>,
+    /// `rows[lr]`: the first span and the first entry of local row `lr`,
+    /// plus one past-the-end pair.
+    rows: Vec<(u32, u32)>,
+    /// Rows whose chosen run the next fixpoint round recomputes.
+    dirty: Vec<bool>,
     blocked: Vec<(i32, i32)>,
     allowed: Vec<(i32, i32)>,
-    merged: Vec<(i32, i32)>,
     chosen: Vec<Option<ChosenRun>>,
-    sorted: Vec<(SiteRect, CellId)>,
+    /// Counting-sort buckets over the window width.
+    counts: Vec<u32>,
+    /// Indices into `inside` in `(x, y)` order.
+    order: Vec<u32>,
     /// Emptied `LocalSeg::cells` lists of earlier regions, reused for the
     /// rows of the next one.
     row_lists: Vec<Vec<u32>>,
+}
+
+impl ExtractScratch {
+    /// The free run of local row `lr` (global row `row`) nearest the
+    /// doubled window center `center2`: the spans between the row's frozen
+    /// entries and its segment or window ends, minus fence spans. Ties go
+    /// to the leftmost run.
+    fn best_run(
+        &mut self,
+        design: &Design,
+        lr: usize,
+        row: i32,
+        center2: i32,
+        target_region: Option<RegionId>,
+    ) -> Option<ChosenRun> {
+        let ExtractScratch {
+            entries,
+            spans,
+            rows,
+            blocked,
+            allowed,
+            ..
+        } = self;
+        let mut best: Option<(i64, ChosenRun)> = None;
+        for span in &spans[rows[lr].0 as usize..rows[lr + 1].0 as usize] {
+            let (sx0, sx1) = (span.x0, span.x1);
+            // Fence clipping: members may only use their region's area,
+            // everyone else must avoid every fence.
+            blocked.clear();
+            match target_region {
+                Some(r) => {
+                    // Block the complement of the region's rects.
+                    allowed.clear();
+                    allowed.extend(
+                        design
+                            .region(r)
+                            .rects()
+                            .iter()
+                            .filter(|fr| fr.y <= row && row < fr.top())
+                            .map(|fr| (fr.x.max(sx0), fr.right().min(sx1)))
+                            .filter(|(a, b)| a < b),
+                    );
+                    allowed.sort_unstable();
+                    let mut cursor = sx0;
+                    for &(a, b) in allowed.iter() {
+                        if a > cursor {
+                            blocked.push((cursor, a));
+                        }
+                        cursor = cursor.max(b);
+                    }
+                    if cursor < sx1 {
+                        blocked.push((cursor, sx1));
+                    }
+                }
+                None => {
+                    for fr in design.regions() {
+                        for fr_rect in fr.rects() {
+                            if fr_rect.y <= row && row < fr_rect.top() {
+                                let a = fr_rect.x.max(sx0);
+                                let b = fr_rect.right().min(sx1);
+                                if a < b {
+                                    blocked.push((a, b));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            blocked.sort_unstable();
+            let mut consider = |x0: i32, x1: i32| {
+                // Distance of the run to the (doubled) center.
+                let d = if 2 * x0 <= center2 && center2 <= 2 * x1 {
+                    0
+                } else if 2 * x1 < center2 {
+                    i64::from(center2) - i64::from(2 * x1)
+                } else {
+                    i64::from(2 * x0) - i64::from(center2)
+                };
+                if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
+                    best = Some((d, (Some(span.seg), x0, x1)));
+                }
+            };
+            // Scores the pieces of the free run `[a, b)` outside the fence
+            // spans, left to right.
+            let mut free_run = |mut a: i32, b: i32| {
+                for &(ba, bb) in blocked.iter() {
+                    if bb <= a {
+                        continue;
+                    }
+                    if ba >= b {
+                        break;
+                    }
+                    if ba > a {
+                        consider(a, ba);
+                    }
+                    a = a.max(bb);
+                    if a >= b {
+                        break;
+                    }
+                }
+                if a < b {
+                    consider(a, b);
+                }
+            };
+            let mut cursor = sx0;
+            for e in &entries[span.start as usize..span.end as usize] {
+                if e.inside {
+                    continue;
+                }
+                if e.x0 > cursor {
+                    free_run(cursor, e.x0);
+                }
+                cursor = cursor.max(e.x1);
+            }
+            if cursor < sx1 {
+                free_run(cursor, sx1);
+            }
+        }
+        best.map(|(_, run)| run)
+    }
 }
 
 impl LocalRegion {
@@ -226,13 +383,23 @@ impl LocalRegion {
         // Doubled window-center x, for exact nearest-run comparisons.
         let center2 = 2 * window.x + window.w;
 
-        // Candidate cells: placed cells intersecting the clipped window,
-        // classified once as inside/outside. `cells_intersecting` is a
-        // binary-search subslice of the segment's ordered list, so this
-        // touches only cells near the window.
-        let inside = &mut scratch.inside;
+        // Collection: every listed cell of every window row, tagged inside
+        // or frozen, with its footprint on the row. `cells_intersecting_*`
+        // is a binary-search subslice of the segment's ordered list, so
+        // this touches only cells near the window.
+        let ExtractScratch {
+            inside,
+            entries,
+            spans,
+            rows,
+            ..
+        } = scratch;
         inside.clear();
+        entries.clear();
+        spans.clear();
+        rows.clear();
         for row in r0..r1 {
+            rows.push((spans.len() as u32, entries.len() as u32));
             let base = fp.row_segment_base(row).expect("row in range");
             for (idx, seg) in fp.segments_in_row(row).iter().enumerate() {
                 let x0 = seg.x.max(window.x);
@@ -241,186 +408,113 @@ impl LocalRegion {
                     continue;
                 }
                 let seg_id = SegId::from_usize(base + idx);
-                for &cell in state.cells_intersecting(seg_id, x0, x1) {
-                    let rect = state.rect_of(design, cell).expect("listed cell placed");
-                    // A multi-row cell is listed on every row it spans;
-                    // count it only on the first scanned row so the set
-                    // needs no dedup structure.
-                    if rect.y.max(r0) != row {
-                        continue;
+                let start = entries.len() as u32;
+                let (cells, extents) = state.cells_intersecting_with_extents(seg_id, x0, x1);
+                for (&cell, &(cx0, cx1)) in cells.iter().zip(extents) {
+                    let mut is_inside = false;
+                    if window.x <= cx0 && cx1 <= window.right() {
+                        let y = state.position(cell).expect("listed cell placed").y;
+                        let rect = SiteRect::new(cx0, y, cx1 - cx0, design.cell(cell).height());
+                        is_inside = window.contains_rect(&rect);
+                        // A multi-row cell is listed on every row it spans;
+                        // collect it on its bottom row only.
+                        if is_inside && y == row {
+                            inside.push((cell, rect));
+                        }
                     }
-                    if window.contains_rect(&rect) {
-                        inside.push((cell, rect));
-                    }
+                    entries.push(RowEntry {
+                        x0: cx0,
+                        x1: cx1,
+                        inside: is_inside,
+                    });
                 }
+                spans.push(RowSpan {
+                    seg: seg_id,
+                    x0,
+                    x1,
+                    start,
+                    end: entries.len() as u32,
+                });
             }
         }
+        rows.push((spans.len() as u32, entries.len() as u32));
 
-        // Fixpoint: choose runs, demote violating inside-cells to frozen.
+        // Fixpoint: choose runs, demote violating inside cells to frozen.
+        // A demotion changes only the entries of the rows the cell spans,
+        // so only those rows are solved again.
+        scratch.chosen.clear();
+        scratch.chosen.resize(h_w, None);
+        scratch.dirty.clear();
+        scratch.dirty.resize(h_w, true);
         loop {
-            scratch.chosen.clear();
-            scratch.chosen.resize(h_w, None);
-            for row in r0..r1 {
-                let mut best: Option<(i64, ChosenRun)> = None;
-                for (idx, seg) in fp.segments_in_row(row).iter().enumerate() {
-                    let sx0 = seg.x.max(window.x);
-                    let sx1 = seg.right().min(window.right());
-                    if sx0 >= sx1 {
-                        continue;
-                    }
-                    let base = fp.row_segment_base(row).expect("row in range");
-                    let seg_id = SegId::from_usize(base + idx);
-                    // Free space on this row from the occupancy index:
-                    // the segment's gaps clipped to the window, unioned
-                    // with the footprints of still-inside (movable) cells.
-                    // Frozen cells are exactly the placed cells in neither
-                    // set, so the merged union is bounded by them — no
-                    // rescan of `seg_cells` needed.
-                    let free = &mut scratch.free;
-                    free.clear();
-                    free.extend(state.free_gaps_in(seg_id, sx0, sx1).iter().filter_map(
-                        |&(g0, g1)| {
-                            let (a, b) = (g0.max(sx0), g1.min(sx1));
-                            (a < b).then_some((a, b))
-                        },
-                    ));
-                    for &(_, rect) in inside.iter() {
-                        if rect.y <= row && row < rect.top() {
-                            let (a, b) = (rect.x.max(sx0), rect.right().min(sx1));
-                            if a < b {
-                                free.push((a, b));
-                            }
-                        }
-                    }
-                    free.sort_unstable();
-                    // Blocked spans on this row (fences only; frozen cells
-                    // are already excluded from `free`).
-                    let blocked = &mut scratch.blocked;
-                    blocked.clear();
-                    // Fence clipping: members may only use their region's
-                    // area, everyone else must avoid every fence.
-                    match target_region {
-                        Some(r) => {
-                            // Block the complement of the region's rects.
-                            let allowed = &mut scratch.allowed;
-                            allowed.clear();
-                            allowed.extend(
-                                design
-                                    .region(r)
-                                    .rects()
-                                    .iter()
-                                    .filter(|fr| fr.y <= row && row < fr.top())
-                                    .map(|fr| (fr.x.max(sx0), fr.right().min(sx1)))
-                                    .filter(|(a, b)| a < b),
-                            );
-                            allowed.sort_unstable();
-                            let mut cursor = sx0;
-                            for &(a, b) in allowed.iter() {
-                                if a > cursor {
-                                    blocked.push((cursor, a));
-                                }
-                                cursor = cursor.max(b);
-                            }
-                            if cursor < sx1 {
-                                blocked.push((cursor, sx1));
-                            }
-                        }
-                        None => {
-                            for fr in design.regions() {
-                                for fr_rect in fr.rects() {
-                                    if fr_rect.y <= row && row < fr_rect.top() {
-                                        let a = fr_rect.x.max(sx0);
-                                        let b = fr_rect.right().min(sx1);
-                                        if a < b {
-                                            blocked.push((a, b));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // Merge free intervals into maximal runs (gaps and
-                    // inside-cell spans abut), then subtract fence spans,
-                    // scoring each resulting run against the window center
-                    // as it appears.
-                    let merged = &mut scratch.merged;
-                    merged.clear();
-                    for &(a, b) in scratch.free.iter() {
-                        match merged.last_mut() {
-                            Some((_, e)) if *e >= a => *e = (*e).max(b),
-                            _ => merged.push((a, b)),
-                        }
-                    }
-                    blocked.sort_unstable();
-                    let mut consider = |x0: i32, x1: i32| {
-                        // Distance of the run to the (doubled) center.
-                        let d = if 2 * x0 <= center2 && center2 <= 2 * x1 {
-                            0
-                        } else if 2 * x1 < center2 {
-                            i64::from(center2) - i64::from(2 * x1)
-                        } else {
-                            i64::from(2 * x0) - i64::from(center2)
-                        };
-                        if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
-                            best = Some((d, (Some(seg_id), x0, x1)));
-                        }
-                    };
-                    for &(mut a, b) in merged.iter() {
-                        for &(ba, bb) in scratch.blocked.iter() {
-                            if bb <= a {
-                                continue;
-                            }
-                            if ba >= b {
-                                break;
-                            }
-                            if ba > a {
-                                consider(a, ba);
-                            }
-                            a = a.max(bb);
-                            if a >= b {
-                                break;
-                            }
-                        }
-                        if a < b {
-                            consider(a, b);
-                        }
+            for lr in 0..h_w {
+                if std::mem::take(&mut scratch.dirty[lr]) {
+                    scratch.chosen[lr] =
+                        scratch.best_run(design, lr, r0 + lr as i32, center2, target_region);
+                }
+            }
+            // Demote any inside cell not contained in the chosen runs of
+            // all rows it spans: its entries turn frozen and bound the runs
+            // of those rows in the next round.
+            let ExtractScratch {
+                inside,
+                entries,
+                rows,
+                dirty,
+                chosen,
+                ..
+            } = &mut *scratch;
+            let before = inside.len();
+            inside.retain(|&(_, rect)| {
+                let keep = rect.rows().all(|row| {
+                    matches!(chosen[(row - r0) as usize],
+                        Some((_, x0, x1)) if x0 <= rect.x && rect.right() <= x1)
+                });
+                if !keep {
+                    for row in rect.rows() {
+                        let lr = (row - r0) as usize;
+                        let row_entries =
+                            &mut entries[rows[lr].1 as usize..rows[lr + 1].1 as usize];
+                        let k = row_entries.partition_point(|e| e.x0 < rect.x);
+                        debug_assert!(row_entries[k].x0 == rect.x && row_entries[k].inside);
+                        row_entries[k].inside = false;
+                        dirty[lr] = true;
                     }
                 }
-                scratch.chosen[(row - r0) as usize] = best.map(|(_, run)| run);
-            }
-
-            // Demote any inside-cell not contained in the chosen runs of all
-            // rows it spans: demoted cells leave `inside`, their footprints
-            // stop contributing to the free-run union, and they act as
-            // frozen blockers on the next fixpoint round.
-            let before = inside.len();
-            let chosen = &scratch.chosen;
-            inside.retain(|&(_, rect)| {
-                rect.rows().all(|row| {
-                    if row < r0 || row >= r1 {
-                        return false;
-                    }
-                    match &chosen[(row - r0) as usize] {
-                        Some((_, x0, x1)) => *x0 <= rect.x && rect.right() <= *x1,
-                        None => false,
-                    }
-                })
+                keep
             });
             if inside.len() == before {
                 break;
             }
         }
 
-        // Assemble: local cells (SoA, sorted by (x, y, id)) and per-row
-        // ordered lists.
-        scratch.sorted.clear();
-        scratch
-            .sorted
-            .extend(inside.iter().map(|&(id, rect)| (rect, id)));
-        scratch
-            .sorted
-            .sort_unstable_by_key(|&(rect, id)| (rect.x, rect.y, id));
-        for &(rect, id) in scratch.sorted.iter() {
+        // Assemble: local cells (SoA, in (x, y, id) order) and per-row
+        // ordered lists. `inside` is in (y, x) order, so a stable counting
+        // sort on x yields (x, y) order; corners are distinct, so ids never
+        // decide.
+        let ExtractScratch {
+            inside,
+            counts,
+            order,
+            ..
+        } = &mut *scratch;
+        counts.clear();
+        counts.resize(window.w as usize + 1, 0);
+        for &(_, rect) in inside.iter() {
+            counts[(rect.x - window.x) as usize + 1] += 1;
+        }
+        for k in 1..counts.len() {
+            counts[k] += counts[k - 1];
+        }
+        order.clear();
+        order.resize(inside.len(), 0);
+        for (i, &(_, rect)) in inside.iter().enumerate() {
+            let slot = &mut counts[(rect.x - window.x) as usize];
+            order[*slot as usize] = i as u32;
+            *slot += 1;
+        }
+        for &i in order.iter() {
+            let (id, rect) = inside[i as usize];
             self.cells.push(id, rect);
         }
         let row_lists = &mut scratch.row_lists;
@@ -552,6 +646,7 @@ mod tests {
     use super::*;
     use mrl_db::DesignBuilder;
     use mrl_geom::SitePoint;
+    use proptest::prelude::*;
 
     /// Builds a design with the given movable cells `(w, h)` placed at the
     /// given positions on a `rows x width` floorplan.
@@ -773,6 +868,306 @@ mod tests {
                 first,
                 "window {window:?}: row lists reallocated"
             );
+        }
+    }
+
+    /// The extraction before the frozen-run rewrite, kept verbatim as the
+    /// oracle: per row and segment the windowed gaps unioned with the
+    /// inside cells' spans, a full re-pass fixpoint, and a tuple sort.
+    fn reference_extract(
+        design: &Design,
+        state: &PlacementState,
+        window: SiteRect,
+        target_region: Option<RegionId>,
+    ) -> LocalRegion {
+        let mut region = LocalRegion::default();
+        let fp = design.floorplan();
+        let r0 = window.y.max(0);
+        let r1 = window.top().min(fp.num_rows());
+        if r0 >= r1 || window.w <= 0 {
+            return region;
+        }
+        let h_w = (r1 - r0) as usize;
+        let center2 = 2 * window.x + window.w;
+        let mut inside: Vec<(CellId, SiteRect)> = Vec::new();
+        for row in r0..r1 {
+            let base = fp.row_segment_base(row).expect("row in range");
+            for (idx, seg) in fp.segments_in_row(row).iter().enumerate() {
+                let x0 = seg.x.max(window.x);
+                let x1 = seg.right().min(window.right());
+                if x0 >= x1 {
+                    continue;
+                }
+                let seg_id = SegId::from_usize(base + idx);
+                for &cell in state.cells_intersecting(seg_id, x0, x1) {
+                    let rect = state.rect_of(design, cell).expect("listed cell placed");
+                    if rect.y.max(r0) != row {
+                        continue;
+                    }
+                    if window.contains_rect(&rect) {
+                        inside.push((cell, rect));
+                    }
+                }
+            }
+        }
+        let mut chosen: Vec<Option<ChosenRun>>;
+        loop {
+            chosen = vec![None; h_w];
+            for row in r0..r1 {
+                let mut best: Option<(i64, ChosenRun)> = None;
+                for (idx, seg) in fp.segments_in_row(row).iter().enumerate() {
+                    let sx0 = seg.x.max(window.x);
+                    let sx1 = seg.right().min(window.right());
+                    if sx0 >= sx1 {
+                        continue;
+                    }
+                    let base = fp.row_segment_base(row).expect("row in range");
+                    let seg_id = SegId::from_usize(base + idx);
+                    let mut free: Vec<(i32, i32)> = state
+                        .free_gaps_in(seg_id, sx0, sx1)
+                        .iter()
+                        .filter_map(|&(g0, g1)| {
+                            let (a, b) = (g0.max(sx0), g1.min(sx1));
+                            (a < b).then_some((a, b))
+                        })
+                        .collect();
+                    for &(_, rect) in inside.iter() {
+                        if rect.y <= row && row < rect.top() {
+                            let (a, b) = (rect.x.max(sx0), rect.right().min(sx1));
+                            if a < b {
+                                free.push((a, b));
+                            }
+                        }
+                    }
+                    free.sort_unstable();
+                    let mut blocked: Vec<(i32, i32)> = Vec::new();
+                    match target_region {
+                        Some(r) => {
+                            let mut allowed: Vec<(i32, i32)> = design
+                                .region(r)
+                                .rects()
+                                .iter()
+                                .filter(|fr| fr.y <= row && row < fr.top())
+                                .map(|fr| (fr.x.max(sx0), fr.right().min(sx1)))
+                                .filter(|(a, b)| a < b)
+                                .collect();
+                            allowed.sort_unstable();
+                            let mut cursor = sx0;
+                            for &(a, b) in allowed.iter() {
+                                if a > cursor {
+                                    blocked.push((cursor, a));
+                                }
+                                cursor = cursor.max(b);
+                            }
+                            if cursor < sx1 {
+                                blocked.push((cursor, sx1));
+                            }
+                        }
+                        None => {
+                            for fr in design.regions() {
+                                for fr_rect in fr.rects() {
+                                    if fr_rect.y <= row && row < fr_rect.top() {
+                                        let a = fr_rect.x.max(sx0);
+                                        let b = fr_rect.right().min(sx1);
+                                        if a < b {
+                                            blocked.push((a, b));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let mut merged: Vec<(i32, i32)> = Vec::new();
+                    for &(a, b) in free.iter() {
+                        match merged.last_mut() {
+                            Some((_, e)) if *e >= a => *e = (*e).max(b),
+                            _ => merged.push((a, b)),
+                        }
+                    }
+                    blocked.sort_unstable();
+                    let mut consider = |x0: i32, x1: i32| {
+                        let d = if 2 * x0 <= center2 && center2 <= 2 * x1 {
+                            0
+                        } else if 2 * x1 < center2 {
+                            i64::from(center2) - i64::from(2 * x1)
+                        } else {
+                            i64::from(2 * x0) - i64::from(center2)
+                        };
+                        if best.as_ref().is_none_or(|(bd, _)| d < *bd) {
+                            best = Some((d, (Some(seg_id), x0, x1)));
+                        }
+                    };
+                    for &(mut a, b) in merged.iter() {
+                        for &(ba, bb) in blocked.iter() {
+                            if bb <= a {
+                                continue;
+                            }
+                            if ba >= b {
+                                break;
+                            }
+                            if ba > a {
+                                consider(a, ba);
+                            }
+                            a = a.max(bb);
+                            if a >= b {
+                                break;
+                            }
+                        }
+                        if a < b {
+                            consider(a, b);
+                        }
+                    }
+                }
+                chosen[(row - r0) as usize] = best.map(|(_, run)| run);
+            }
+            let before = inside.len();
+            inside.retain(|&(_, rect)| {
+                rect.rows().all(|row| {
+                    if row < r0 || row >= r1 {
+                        return false;
+                    }
+                    match &chosen[(row - r0) as usize] {
+                        Some((_, x0, x1)) => *x0 <= rect.x && rect.right() <= *x1,
+                        None => false,
+                    }
+                })
+            });
+            if inside.len() == before {
+                break;
+            }
+        }
+        let mut sorted: Vec<(SiteRect, CellId)> =
+            inside.iter().map(|&(id, rect)| (rect, id)).collect();
+        sorted.sort_unstable_by_key(|&(rect, id)| (rect.x, rect.y, id));
+        for &(rect, id) in sorted.iter() {
+            region.cells.push(id, rect);
+        }
+        region.rows.extend(chosen.into_iter().map(|run| {
+            run.map(|(seg, x0, x1)| LocalSeg {
+                seg,
+                x0,
+                x1,
+                cells: Vec::new(),
+            })
+        }));
+        for i in 0..region.cells.len() {
+            let (y, h) = (region.cells.y[i], region.cells.h[i]);
+            for row in y..y + h {
+                let lr = (row - r0) as usize;
+                region.rows[lr]
+                    .as_mut()
+                    .expect("local cell rows have chosen runs")
+                    .cells
+                    .push(i as u32);
+            }
+        }
+        let mut start = 0u32;
+        for i in 0..region.cells.len() {
+            region.cells.pos_start.push(start);
+            start += region.cells.h[i] as u32;
+        }
+        region.cells.pos_start.push(start);
+        region.cells.pos_pool.resize(start as usize, 0);
+        for (lr, row) in region.rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            for (pos, &ci) in row.cells.iter().enumerate() {
+                let k = lr - (region.cells.y[ci as usize] - r0) as usize;
+                let slot = region.cells.pos_start[ci as usize] as usize + k;
+                region.cells.pos_pool[slot] = pos as u32;
+            }
+        }
+        region.bottom_row = r0;
+        region.compute_leftmost_rightmost();
+        region
+    }
+
+    /// A random placed design for the extraction oracle: blockages, one or
+    /// two fences, and cells 1–3 rows tall, about a fifth of them fence
+    /// members. Cells are dropped at random sites and kept where they fit
+    /// (rails ignored, so multi-row cells land on any row).
+    fn random_design(seed: u64) -> (Design, PlacementState) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows = rng.gen_range(3..9);
+        let width = rng.gen_range(16..48);
+        let mut b = DesignBuilder::new(rows, width);
+        for _ in 0..rng.gen_range(0..3) {
+            let (w, h) = (rng.gen_range(1..4), rng.gen_range(1..3));
+            let x = rng.gen_range(0..width - w);
+            let y = rng.gen_range(0..rows - h + 1);
+            b.add_blockage(SiteRect::new(x, y, w, h));
+        }
+        // Fences in disjoint vertical bands, so they never overlap.
+        let fences: Vec<RegionId> = (0..rng.gen_range(1..3))
+            .map(|k| {
+                let band = width / 2;
+                let x = k * band + rng.gen_range(0..band / 2);
+                let w = rng.gen_range(2..band / 2 + 1);
+                let y = rng.gen_range(0..rows - 1);
+                let h = rng.gen_range(1..rows - y + 1);
+                b.add_region(format!("f{k}"), vec![SiteRect::new(x, y, w, h)])
+            })
+            .collect();
+        // Movable area up to 30–80% of the rows, less the largest possible
+        // blockage area.
+        let budget = rows * width * rng.gen_range(30..80) / 100 - 12;
+        let mut ids = Vec::new();
+        let mut area = 0;
+        loop {
+            let (w, h) = (rng.gen_range(1..5), [1, 1, 1, 2, 2, 3][rng.gen_range(0..6)]);
+            if area + w * h > budget {
+                break;
+            }
+            area += w * h;
+            let id = b.add_cell(format!("c{}", ids.len()), w, h);
+            if rng.gen_range(0..5) == 0 {
+                b.assign_region(id, fences[rng.gen_range(0..fences.len())]);
+            }
+            ids.push(id);
+        }
+        let design = b.finish().unwrap();
+        let mut state = PlacementState::new(&design);
+        for &id in &ids {
+            for _ in 0..8 {
+                let at = SitePoint::new(rng.gen_range(0..width), rng.gen_range(0..rows));
+                if state.place_ignoring_rails(&design, id, at).is_ok() {
+                    break;
+                }
+            }
+        }
+        (design, state)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        /// The frozen-run extraction equals the reference on random designs
+        /// and windows — clipped by the floorplan or hanging off it, for
+        /// fence members and non-members — with one scratch reused across
+        /// all windows.
+        #[test]
+        fn extraction_matches_reference(seed in 0u64..1_000_000) {
+            use rand::rngs::SmallRng;
+            use rand::{Rng as _, SeedableRng as _};
+            let (design, state) = random_design(seed);
+            let fp = design.floorplan();
+            let (rows, width) = (fp.num_rows(), fp.bounds().right());
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9);
+            let mut region = LocalRegion::default();
+            let mut scratch = ExtractScratch::default();
+            for _ in 0..24 {
+                let w = rng.gen_range(4..width + 8);
+                let h = rng.gen_range(1..rows + 3);
+                let x = rng.gen_range(-6..width - 2);
+                let y = rng.gen_range(-2..rows);
+                let window = SiteRect::new(x, y, w, h);
+                let k = rng.gen_range(0..design.regions().len() + 1);
+                let target_region = (k > 0).then(|| RegionId::from_usize(k - 1));
+                region.extract_masked_into(&mut scratch, &design, &state, window, target_region);
+                let expected = reference_extract(&design, &state, window, target_region);
+                prop_assert_eq!(&region, &expected, "window {:?}, fence {:?}", window, target_region);
+            }
         }
     }
 }

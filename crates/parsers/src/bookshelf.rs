@@ -541,11 +541,29 @@ fn strip_comment(line: &str) -> &str {
 mod tests {
     use super::*;
     use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
+    use std::path::PathBuf;
 
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
+    /// A per-test directory under the system temp dir, removed on drop —
+    /// also when the test panics.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmpdir(tag: &str) -> TmpDir {
         let dir = std::env::temp_dir().join(format!("mrl_bookshelf_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TmpDir(dir)
     }
 
     fn sample_design() -> Design {
