@@ -66,7 +66,8 @@ fn bench_point_query() {
 }
 
 /// 64-site window queries — the extraction pattern: the intersecting
-/// cells plus the clipped free gaps of the window.
+/// cells of the window, plus the occupancy probe `place` issues for a
+/// span of the window's width.
 fn bench_window_query() {
     let b = Bench::new("index_window_query");
     const WINDOW: i32 = 64;
@@ -78,7 +79,7 @@ fn bench_window_query() {
         for _ in 0..QUERIES_PER_SAMPLE {
             let x = rng.next(span) as i32;
             acc += state.cells_intersecting(seg, x, x + WINDOW).len();
-            acc += state.free_gaps_in(seg, x, x + WINDOW).len();
+            acc += usize::from(state.span_is_free(seg, x, x + WINDOW));
         }
         acc
     });

@@ -1,8 +1,9 @@
 //! Flattened CSR-style segment storage for the occupancy index.
 //!
-//! [`Csr`] keeps the per-segment lists of [`PlacementState`] — ordered cell
-//! entries and free gaps — in **one backing arena** with per-segment offset
-//! ranges instead of a `Vec` per segment. The old `Vec<Vec<_>>` layout paid
+//! [`Csr`] keeps one array of the per-segment lists of [`PlacementState`]
+//! — cell ids, x-extents or rows — in **one backing arena** with
+//! per-segment offset ranges instead of a `Vec` per segment. The old
+//! `Vec<Vec<_>>` layout paid
 //! a heap allocation per segment and a pointer dereference per probe; at a
 //! million cells those pointers scatter across hundreds of megabytes and
 //! every `partition_point` step is a cache miss. Here a probe lands in one
@@ -32,7 +33,7 @@ struct Span {
 /// One backing arena of `T` plus per-segment offset ranges.
 ///
 /// Element order inside a segment's block is maintained by the caller
-/// (the occupancy index keeps both cell entries and gaps x-sorted).
+/// (the occupancy index keeps each segment's entries x-sorted).
 #[derive(Clone, Debug)]
 pub(crate) struct Csr<T> {
     spans: Vec<Span>,
@@ -55,28 +56,6 @@ impl<T: Copy> Csr<T> {
             live: 0,
             dead: 0,
         }
-    }
-
-    /// An arena built from one initial element per segment (the gap index
-    /// starts with each segment's full extent as a single free gap).
-    pub fn from_one_per_seg(items: impl ExactSizeIterator<Item = T>) -> Self {
-        let n = items.len();
-        let mut csr = Csr {
-            spans: Vec::with_capacity(n),
-            data: Vec::with_capacity(n * 2),
-            live: n,
-            dead: 0,
-        };
-        for (i, item) in items.enumerate() {
-            csr.spans.push(Span {
-                start: (i * 2) as u32,
-                len: 1,
-                cap: 2,
-            });
-            csr.data.push(item);
-            csr.data.push(item);
-        }
-        csr
     }
 
     /// The occupied slice of a segment.
@@ -238,14 +217,6 @@ mod tests {
             assert_eq!(c.slice(seg).len(), 200);
             assert!(c.slice(seg).windows(2).all(|w| w[0] > w[1]));
         }
-    }
-
-    #[test]
-    fn one_per_seg_initializer() {
-        let c = Csr::from_one_per_seg([10i32, 20, 30].into_iter());
-        assert_eq!(c.slice(0), &[10]);
-        assert_eq!(c.slice(2), &[30]);
-        assert!(c.bytes() > 0);
     }
 
     #[test]

@@ -10,31 +10,35 @@
 //! * per-segment lists are strictly ordered by x and overlap-free,
 //! * even-height cells sit only on rail-compatible rows.
 //!
-//! In addition to the paper's cell lists, the state maintains a **segment
-//! occupancy index**: for every segment, the sorted list of maximal free
-//! gaps `[x0, x1)`. It is updated incrementally on every `place` / `remove`
-//! / `shift_batch` (O(log n) search + O(k) splice per spanned row) and lets
-//! free-space queries avoid rescanning the cell lists.
+//! Next to its id, each list entry carries the listed cell's footprint:
+//! its x-extent `[x0, x1)`, bottom row and height. These lists are the
+//! **segment occupancy index**, and every occupancy query answers from
+//! them: [`span_is_free`] is one binary search over the extents (a span is
+//! free when the first cell ending after its left edge starts at or after
+//! its right edge), and region extraction reads each listed cell's
+//! footprint without touching per-cell records. [`recompute_gaps`]
+//! rebuilds a segment's free gaps from the list; tests compare against
+//! it.
 //!
 //! # Cache-resident layout (DESIGN.md §9)
 //!
 //! The index is stored for cache residency at 10⁵–10⁶ cells:
 //!
-//! * **Interleaved coordinate keys.** Each segment's list is a pair of
-//!   parallel arrays: `(x0, x1)` extents and `CellId`s. Every
-//!   `partition_point` probe — [`cells_intersecting`], [`left_neighbor`],
-//!   the windowed gap queries, and the search steps inside [`place`] /
-//!   [`remove`] / [`shift_batch`] — walks the contiguous extent array and
-//!   never dereferences `pos[cell]`, which at scale is a dependent random
-//!   load into hundreds of megabytes. `pos[]` stays the authoritative
-//!   record; debug builds cross-check the interleaved copy against it
-//!   under the `GAP_CHECK_*` sampling.
-//! * **CSR segment storage.** Both the cell lists and the gap lists live in
-//!   flattened [`Csr`] arenas (one backing allocation, per-segment offset
-//!   ranges, amortized reslicing on growth) instead of a `Vec` per segment
-//!   — no per-segment heap allocations, no pointer chase per probe, and
-//!   mutations shift one contiguous block instead of a heap-scattered
-//!   `Vec`.
+//! * **Interleaved coordinate keys.** Each segment's list is three
+//!   parallel arrays: `(x0, x1)` extents, `(bottom row, height)` pairs and
+//!   `CellId`s. Every `partition_point` probe — [`span_is_free`],
+//!   [`cells_intersecting`], [`left_neighbor`], and the search steps
+//!   inside [`place`] / [`remove`] / [`shift_batch`] — walks the
+//!   contiguous extent array and never dereferences `pos[cell]`, which at
+//!   scale is a dependent random load into hundreds of megabytes. `pos[]`
+//!   and the design stay the authoritative record; debug builds
+//!   cross-check the list copies against them under the `INDEX_CHECK_*`
+//!   sampling.
+//! * **CSR segment storage.** The three arrays live in flattened [`Csr`]
+//!   arenas (one backing allocation, per-segment offset ranges, amortized
+//!   reslicing on growth) instead of a `Vec` per segment — no per-segment
+//!   heap allocations, no pointer chase per probe, and mutations shift one
+//!   contiguous block instead of a heap-scattered `Vec`.
 //!
 //! # Undo journal (DESIGN.md §11)
 //!
@@ -50,6 +54,8 @@
 //! first-touch log from its own opening. With no savepoint open the
 //! journal costs one branch per mutation.
 //!
+//! [`span_is_free`]: PlacementState::span_is_free
+//! [`recompute_gaps`]: PlacementState::recompute_gaps
 //! [`cells_intersecting`]: PlacementState::cells_intersecting
 //! [`left_neighbor`]: PlacementState::left_neighbor
 //! [`place`]: PlacementState::place
@@ -67,34 +73,34 @@ use mrl_geom::{Orient, SitePoint, SiteRect};
 /// only in debug builds; release builds compile the check (and the counter)
 /// out entirely.
 #[cfg(debug_assertions)]
-static GAP_CROSS_CHECKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static INDEX_CROSS_CHECKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Number of cross-check *opportunities* (mutations of large segments that
 /// were sampled rather than checked unconditionally). Debug builds only.
 #[cfg(debug_assertions)]
-static GAP_CHECK_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static INDEX_CHECK_CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Segments with at most this many listed cells are cross-checked on every
-/// mutation; larger segments are sampled (1 in [`GAP_CHECK_SAMPLE`]) so
+/// mutation; larger segments are sampled (1 in [`INDEX_CHECK_SAMPLE`]) so
 /// debug-mode runs on 100k–1M-cell designs stay tractable — the
 /// recomputation is O(cells-per-segment) and would otherwise turn every
 /// mutation quadratic.
 #[cfg(debug_assertions)]
-const GAP_CHECK_EXHAUSTIVE_MAX: usize = 64;
+const INDEX_CHECK_EXHAUSTIVE_MAX: usize = 64;
 
 /// Sampling period for cross-checks on large segments (debug builds only).
 #[cfg(debug_assertions)]
-const GAP_CHECK_SAMPLE: u64 = 64;
+const INDEX_CHECK_SAMPLE: u64 = 64;
 
 /// How many times the debug-only occupancy-index cross-check has run in
 /// this process. Always 0 in release builds — the check is strictly gated
 /// behind `debug_assertions`, so the hot mutation paths (`place`, `remove`,
 /// `shift_batch`) never pay for the O(cells-per-segment) recomputation in
 /// optimized kernels. Tests use this to assert the gating holds.
-pub fn gap_cross_check_count() -> u64 {
+pub fn index_cross_check_count() -> u64 {
     #[cfg(debug_assertions)]
     {
-        GAP_CROSS_CHECKS.load(std::sync::atomic::Ordering::Relaxed)
+        INDEX_CROSS_CHECKS.load(std::sync::atomic::Ordering::Relaxed)
     }
     #[cfg(not(debug_assertions))]
     {
@@ -170,35 +176,49 @@ pub struct PlacementState {
     pos: Vec<Option<SitePoint>>,
     orient: Vec<Orient>,
     /// Interleaved per-segment x-extents `(x0, x1)`, mirrored with
-    /// `seg_ids` (same segment, same index → same cell).
+    /// `seg_rows` and `seg_ids` (same segment, same index → same cell).
     seg_xs: Csr<(i32, i32)>,
+    /// Per-segment `(bottom row, height)` of each listed cell.
+    seg_rows: Csr<(i32, i32)>,
     /// Per-segment ordered cell ids.
     seg_ids: Csr<CellId>,
-    /// Per-segment sorted disjoint maximal free intervals `[x0, x1)`.
-    gaps: Csr<(i32, i32)>,
     journal: Journal,
+}
+
+/// A run of one segment's ordered cell list, returned by
+/// [`PlacementState::list_intersecting`]: entry `i` of each array
+/// describes the same listed cell.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ListSlice<'a> {
+    /// The cell ids.
+    pub cells: &'a [CellId],
+    /// Each cell's x-extent `(x0, x1)`.
+    pub extents: &'a [(i32, i32)],
+    /// Each cell's `(bottom row, height)`.
+    pub rows: &'a [(i32, i32)],
 }
 
 impl PlacementState {
     /// Creates an empty placement (every movable cell unplaced) for a
     /// design.
     pub fn new(design: &Design) -> Self {
-        let segments = design.floorplan().segments();
+        let segments = design.floorplan().segments().len();
         Self {
             pos: vec![None; design.num_cells()],
             orient: vec![Orient::North; design.num_cells()],
-            seg_xs: Csr::new(segments.len()),
-            seg_ids: Csr::new(segments.len()),
-            gaps: Csr::from_one_per_seg(segments.iter().map(|s| (s.x, s.right()))),
+            seg_xs: Csr::new(segments),
+            seg_rows: Csr::new(segments),
+            seg_ids: Csr::new(segments),
             journal: Journal::default(),
         }
     }
 
-    /// Bytes held by the occupancy index — the CSR arenas of cell extents,
-    /// cell ids, and free gaps, counted at capacity. `pos[]`/`orient[]`
-    /// (the authoritative record) are excluded.
+    /// Bytes held by the occupancy index — the CSR arenas of the listed
+    /// cells' extents, rows and ids plus their offset tables, counted at
+    /// capacity. `pos[]`/`orient[]` (the authoritative record) are
+    /// excluded.
     pub fn index_bytes(&self) -> usize {
-        self.seg_xs.bytes() + self.seg_ids.bytes() + self.gaps.bytes()
+        self.seg_xs.bytes() + self.seg_rows.bytes() + self.seg_ids.bytes()
     }
 
     /// Bytes of [`index_bytes`](PlacementState::index_bytes) not occupied
@@ -206,91 +226,26 @@ impl PlacementState {
     /// session gauge: high slack on a long-lived session means the arenas
     /// are carrying compaction debt.
     pub fn index_slack_bytes(&self) -> usize {
-        self.seg_xs.slack_bytes() + self.seg_ids.slack_bytes() + self.gaps.slack_bytes()
+        self.seg_xs.slack_bytes() + self.seg_rows.slack_bytes() + self.seg_ids.slack_bytes()
     }
 
-    /// The sorted maximal free gaps `[x0, x1)` of a segment — the occupancy
-    /// index behind [`span_is_free`](PlacementState::span_is_free).
-    pub fn free_gaps(&self, seg: SegId) -> &[(i32, i32)] {
-        self.gaps.slice(seg.index())
-    }
-
-    /// The free gaps of `seg` that intersect the open window `(x0, x1)`, as
-    /// a subslice of the sorted gap list found by two binary searches —
-    /// O(log gaps + answer), independent of the segment's total occupancy.
-    ///
-    /// Gaps that merely touch the window boundary (ending at `x0` or
-    /// starting at `x1`) are excluded; clipping them to the window would
-    /// yield empty intervals, so the result is exactly the gaps a linear
-    /// scan-and-clip over [`free_gaps`](PlacementState::free_gaps) keeps.
-    pub fn free_gaps_in(&self, seg: SegId, x0: i32, x1: i32) -> &[(i32, i32)] {
-        let gaps = self.gaps.slice(seg.index());
-        // First gap whose right end is > x0.
-        let lo = gaps.partition_point(|&(_, g1)| g1 <= x0);
-        // First gap whose left end is >= x1.
-        let hi = gaps.partition_point(|&(g0, _)| g0 < x1);
-        &gaps[lo..hi.max(lo)]
-    }
-
-    /// True if `[x0, x1)` lies entirely inside one free gap of `seg` —
-    /// an O(log gaps) occupancy query.
+    /// True if no listed cell of `seg` overlaps `[x0, x1)` and the span is
+    /// not empty — one binary search over the extents: the span is free
+    /// when the first cell ending after `x0` starts at or after `x1`. The
+    /// span must lie inside the segment; [`is_free`](PlacementState::is_free)
+    /// checks that first.
     pub fn span_is_free(&self, seg: SegId, x0: i32, x1: i32) -> bool {
-        let gaps = self.gaps.slice(seg.index());
-        let i = gaps.partition_point(|&(g0, _)| g0 <= x0);
-        i > 0 && gaps[i - 1].1 >= x1 && x0 < x1
+        let xs = self.seg_xs.slice(seg.index());
+        x0 < x1
+            && xs
+                .get(self.list_lower(seg.index(), x0))
+                .is_none_or(|&(left, _)| left >= x1)
     }
 
-    /// Marks `[x0, x1)` occupied in the index: splits the containing gap.
-    fn gap_occupy(&mut self, seg: usize, x0: i32, x1: i32) {
-        let gaps = self.gaps.slice(seg);
-        let i = gaps.partition_point(|&(g0, _)| g0 <= x0);
-        debug_assert!(
-            i > 0 && gaps[i - 1].0 <= x0 && gaps[i - 1].1 >= x1,
-            "gap_occupy: [{x0},{x1}) not free in segment {seg}"
-        );
-        let (g0, g1) = gaps[i - 1];
-        match (g0 < x0, x1 < g1) {
-            (true, true) => {
-                self.gaps.get_mut(seg, i - 1).1 = x0;
-                self.gaps.insert(seg, i, (x1, g1));
-            }
-            (true, false) => self.gaps.get_mut(seg, i - 1).1 = x0,
-            (false, true) => self.gaps.get_mut(seg, i - 1).0 = x1,
-            (false, false) => {
-                self.gaps.remove(seg, i - 1);
-            }
-        }
-    }
-
-    /// Marks `[x0, x1)` free in the index: inserts a gap, merging with
-    /// adjacent gaps.
-    fn gap_free(&mut self, seg: usize, x0: i32, x1: i32) {
-        let gaps = self.gaps.slice(seg);
-        // First gap whose right edge reaches x0 (the only left-merge
-        // candidate); anything earlier ends strictly left of the span.
-        let i = gaps.partition_point(|&(_, g1)| g1 < x0);
-        let merge_left = i < gaps.len() && gaps[i].1 == x0;
-        let r = if merge_left { i + 1 } else { i };
-        let merge_right = r < gaps.len() && gaps[r].0 == x1;
-        debug_assert!(
-            (merge_left || i >= gaps.len() || gaps[i].0 >= x1)
-                && (!merge_left || r >= gaps.len() || gaps[r].0 >= x1),
-            "gap_free: [{x0},{x1}) overlaps an existing gap in segment {seg}"
-        );
-        match (merge_left, merge_right) {
-            (true, true) => {
-                let right_end = gaps[r].1;
-                self.gaps.get_mut(seg, i).1 = right_end;
-                self.gaps.remove(seg, r);
-            }
-            (true, false) => self.gaps.get_mut(seg, i).1 = x1,
-            (false, true) => self.gaps.get_mut(seg, r).0 = x0,
-            (false, false) => self.gaps.insert(seg, i, (x0, x1)),
-        }
-    }
-
-    /// Recomputes a segment's free gaps from its ordered cell list and
-    /// `pos[]` — the slow path the incremental index is validated against.
+    /// Rebuilds a segment's sorted maximal free gaps `[x0, x1)` from its
+    /// ordered cell list and `pos[]` — the linear reference that
+    /// [`span_is_free`](PlacementState::span_is_free) and region extraction
+    /// are tested against.
     pub fn recompute_gaps(&self, design: &Design, seg: SegId) -> Vec<(i32, i32)> {
         let s = &design.floorplan().segments()[seg.index()];
         let mut out = Vec::new();
@@ -323,35 +278,61 @@ impl PlacementState {
             .collect()
     }
 
-    /// Debug-only cross-check of the incremental index for `seg`: the gap
-    /// list and the interleaved extent keys must both match a linear
-    /// rebuild from `pos[]`. Compiled only under `debug_assertions`; see
-    /// [`gap_cross_check_count`]. Segments with more than
-    /// [`GAP_CHECK_EXHAUSTIVE_MAX`] cells are sampled (1 in
-    /// [`GAP_CHECK_SAMPLE`] mutations) so million-cell debug runs don't
+    /// Recomputes a segment's `(bottom row, height)` entries from `pos[]`
+    /// and the design, as [`recompute_extents`](PlacementState::recompute_extents)
+    /// does for the extents.
+    fn recompute_rows(&self, design: &Design, seg: SegId) -> Vec<(i32, i32)> {
+        self.seg_ids
+            .slice(seg.index())
+            .iter()
+            .map(|&cell| {
+                let p = self.pos[cell.index()].expect("listed cell must be placed");
+                (p.y, design.cell(cell).height())
+            })
+            .collect()
+    }
+
+    /// The first divergence of `seg`'s list entries from a linear rebuild
+    /// from `pos[]` and the design, as text.
+    fn check_segment(&self, design: &Design, seg: usize) -> Result<(), String> {
+        let id = SegId::from_usize(seg);
+        let xs = self.seg_xs.slice(seg);
+        let want = self.recompute_extents(design, id);
+        if xs != want.as_slice() {
+            return Err(format!(
+                "segment {seg}: extent keys {xs:?} != recomputed {want:?}"
+            ));
+        }
+        let rows = self.seg_rows.slice(seg);
+        let want = self.recompute_rows(design, id);
+        if rows != want.as_slice() {
+            return Err(format!(
+                "segment {seg}: row entries {rows:?} != recomputed {want:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Debug-only cross-check of the list entries of `seg` (extents and
+    /// rows) against a linear rebuild from `pos[]`. Compiled only under
+    /// `debug_assertions`; see [`index_cross_check_count`]. Segments with
+    /// more than [`INDEX_CHECK_EXHAUSTIVE_MAX`] cells are sampled (1 in
+    /// [`INDEX_CHECK_SAMPLE`] mutations) so million-cell debug runs don't
     /// spend hours re-deriving index state.
     #[cfg(debug_assertions)]
     fn debug_check_index(&self, design: &Design, seg: usize) {
         use std::sync::atomic::Ordering::Relaxed;
-        if self.seg_ids.slice(seg).len() > GAP_CHECK_EXHAUSTIVE_MAX
-            && !GAP_CHECK_CALLS
+        if self.seg_ids.slice(seg).len() > INDEX_CHECK_EXHAUSTIVE_MAX
+            && !INDEX_CHECK_CALLS
                 .fetch_add(1, Relaxed)
-                .is_multiple_of(GAP_CHECK_SAMPLE)
+                .is_multiple_of(INDEX_CHECK_SAMPLE)
         {
             return;
         }
-        GAP_CROSS_CHECKS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let seg_id = SegId::from_usize(seg);
-        assert_eq!(
-            self.gaps.slice(seg),
-            self.recompute_gaps(design, seg_id).as_slice(),
-            "occupancy index diverged from the cell list on segment {seg}"
-        );
-        assert_eq!(
-            self.seg_xs.slice(seg),
-            self.recompute_extents(design, seg_id).as_slice(),
-            "interleaved extent keys diverged from pos[] on segment {seg}"
-        );
+        INDEX_CROSS_CHECKS.fetch_add(1, Relaxed);
+        if let Err(e) = self.check_segment(design, seg) {
+            panic!("occupancy index diverged from pos[]: {e}");
+        }
     }
 
     /// Release builds compile the cross-check out entirely.
@@ -398,6 +379,12 @@ impl PlacementState {
         self.seg_xs.slice(seg.index())
     }
 
+    /// The `(bottom row, height)` of each cell of a segment's ordered cell
+    /// list — entry `i` belongs to `segment_cells(seg)[i]`.
+    pub fn segment_rows(&self, seg: SegId) -> &[(i32, i32)] {
+        self.seg_rows.slice(seg.index())
+    }
+
     /// The segment id covering `(row, x)`, if any.
     pub fn segment_at(&self, design: &Design, row: i32, x: i32) -> Option<SegId> {
         let fp = design.floorplan();
@@ -431,24 +418,21 @@ impl PlacementState {
     /// Cells of `seg` whose spans intersect the open interval `(x0, x1)`,
     /// as a subslice of the ordered list.
     pub fn cells_intersecting(&self, seg: SegId, x0: i32, x1: i32) -> &[CellId] {
-        self.cells_intersecting_with_extents(seg, x0, x1).0
+        self.list_intersecting(seg, x0, x1).cells
     }
 
     /// [`cells_intersecting`](PlacementState::cells_intersecting) together
     /// with the matching [`segment_extents`](PlacementState::segment_extents)
-    /// entries: extent `i` is the footprint of cell `i`.
-    pub fn cells_intersecting_with_extents(
-        &self,
-        seg: SegId,
-        x0: i32,
-        x1: i32,
-    ) -> (&[CellId], &[(i32, i32)]) {
+    /// and [`segment_rows`](PlacementState::segment_rows) entries: the
+    /// footprint of every listed cell in the window.
+    pub fn list_intersecting(&self, seg: SegId, x0: i32, x1: i32) -> ListSlice<'_> {
         let lo = self.list_lower(seg.index(), x0);
         let hi = self.list_upper(seg.index(), x1).max(lo);
-        (
-            &self.seg_ids.slice(seg.index())[lo..hi],
-            &self.seg_xs.slice(seg.index())[lo..hi],
-        )
+        ListSlice {
+            cells: &self.seg_ids.slice(seg.index())[lo..hi],
+            extents: &self.seg_xs.slice(seg.index())[lo..hi],
+            rows: &self.seg_rows.slice(seg.index())[lo..hi],
+        }
     }
 
     /// The nearest cell of `seg` entirely at or left of `x` (its right edge
@@ -482,9 +466,8 @@ impl PlacementState {
                     at: rect.origin(),
                 });
             }
-            // Occupancy-index fast path: one binary search over the gap
-            // list; the cell-list scan runs only to name an occupant on
-            // the error path.
+            // One binary search over the extents; the cell-list scan runs
+            // only to name an occupant on the error path.
             if !self.span_is_free(seg_id, rect.x, rect.right()) {
                 let occupants = self.cells_intersecting(seg_id, rect.x, rect.right());
                 let occ = *occupants.first().expect("occupied span names an occupant");
@@ -511,27 +494,25 @@ impl PlacementState {
         idx
     }
 
-    /// The one insertion path: lists `cell` with extent `[x0, x1)` on
-    /// `seg`'s ordered list (extent keys and ids move together) and marks
-    /// the span occupied in the gap index.
-    fn seg_insert(&mut self, design: &Design, seg: usize, x0: i32, x1: i32, cell: CellId) {
-        let idx = self.list_upper(seg, x0);
-        self.seg_xs.insert(seg, idx, (x0, x1));
+    /// The one insertion path: lists `cell` with footprint `rect` on
+    /// `seg`'s ordered list (extent, rows and id move together).
+    fn seg_insert(&mut self, design: &Design, seg: usize, rect: &SiteRect, cell: CellId) {
+        let idx = self.list_upper(seg, rect.x);
+        self.seg_xs.insert(seg, idx, (rect.x, rect.right()));
+        self.seg_rows.insert(seg, idx, (rect.y, rect.h));
         self.seg_ids.insert(seg, idx, cell);
-        self.gap_occupy(seg, x0, x1);
         self.debug_check_index(design, seg);
     }
 
-    /// The one removal path: unlists `cell` (extent `[x0, x1)`) from
-    /// `seg`'s ordered list and frees the span in the gap index. The
-    /// in-block `copy_within` of the CSR arena replaces the old
-    /// heap-`Vec::remove` on the per-segment vectors.
-    fn seg_remove(&mut self, design: &Design, seg: SegId, cell: CellId, x0: i32, x1: i32) {
+    /// The one removal path: unlists `cell` (left edge `x0`) from `seg`'s
+    /// ordered list. The in-block `copy_within` of the CSR arena replaces
+    /// the old heap-`Vec::remove` on the per-segment vectors.
+    fn seg_remove(&mut self, design: &Design, seg: SegId, cell: CellId, x0: i32) {
         let idx = self.list_index_of(seg, cell, x0);
         self.seg_xs.remove(seg.index(), idx);
+        self.seg_rows.remove(seg.index(), idx);
         let removed = self.seg_ids.remove(seg.index(), idx);
         debug_assert_eq!(removed, cell, "removed a different cell");
-        self.gap_free(seg.index(), x0, x1);
         self.debug_check_index(design, seg.index());
     }
 
@@ -598,7 +579,7 @@ impl PlacementState {
         self.pos[cell.index()] = Some(at);
         self.orient[cell.index()] = fp.parity().orient_on_row(c.rail(), c.height(), at.y);
         for seg in segs {
-            self.seg_insert(design, seg.index(), at.x, at.x + c.width(), cell);
+            self.seg_insert(design, seg.index(), &rect, cell);
         }
         Ok(())
     }
@@ -616,7 +597,7 @@ impl PlacementState {
             let seg = self
                 .segment_at(design, row, at.x)
                 .expect("placed cell must be on segments");
-            self.seg_remove(design, seg, cell, at.x, at.x + c.width());
+            self.seg_remove(design, seg, cell, at.x);
         }
         self.pos[cell.index()] = None;
         Ok(at)
@@ -707,30 +688,9 @@ impl PlacementState {
                 rect: SiteRect::new(0, 0, 0, 0),
             });
         }
-        // Commit the occupancy index: free every old span first, then
-        // occupy every new span (the final configuration is overlap-free,
-        // so all occupies land in free gaps).
-        for &(cell, at) in &old {
-            let c = design.cell(cell);
-            for row in at.y..at.y + c.height() {
-                let seg = self
-                    .segment_at(design, row, at.x)
-                    .expect("placed cell must be on segments");
-                self.gap_free(seg.index(), at.x, at.x + c.width());
-            }
-        }
-        for &(cell, new_x) in moves {
-            let at = self.pos[cell.index()].expect("validated above");
-            let c = design.cell(cell);
-            for row in at.y..at.y + c.height() {
-                let seg = self
-                    .segment_at(design, row, new_x)
-                    .expect("validated span stays in segment");
-                self.gap_occupy(seg.index(), new_x, new_x + c.width());
-            }
-        }
         // Refresh the interleaved keys at the recorded slots (order is
         // unchanged, so an in-place overwrite keeps the array sorted).
+        // Rows do not change.
         for &(seg, idx, cell) in &touched {
             let p = self.pos[cell.index()].expect("moved cell stays placed");
             *self.seg_xs.get_mut(seg.index(), idx) = (p.x, p.x + design.cell(cell).width());
@@ -837,7 +797,7 @@ impl PlacementState {
     /// priors are placed, in entry order, without a rail-parity check
     /// (they are positions the state already held, which relaxed-mode
     /// states hold off parity). The restoration is exact —
-    /// positions, segment cell lists, interleaved extent keys and free gaps
+    /// positions, segment cell lists and their extent and row entries
     /// all match the state at [`savepoint`](PlacementState::savepoint) (the
     /// index is rebuilt logically, which is all any query observes). Its
     /// entries still join the enclosing savepoint, which then reads like a
@@ -902,9 +862,10 @@ impl PlacementState {
             + self.pos[common..].iter().filter(|p| p.is_some()).count()
     }
 
-    /// Full cross-check of the occupancy index against a linear rebuild
-    /// from `pos[]`, available in release builds (the debug-only sampled
-    /// check runs per mutation; this one runs on demand over every
+    /// Full cross-check of the occupancy index — every list entry's
+    /// extent, bottom row and height — against a linear rebuild from
+    /// `pos[]` and the design, available in release builds (the debug-only
+    /// sampled check runs per mutation; this one runs on demand over every
     /// segment). Returns the first divergence as text — the oracle the
     /// ECO rollback and fuzz harnesses assert with.
     ///
@@ -912,24 +873,7 @@ impl PlacementState {
     ///
     /// A human-readable description of the first diverged segment.
     pub fn verify_index(&self, design: &Design) -> Result<(), String> {
-        for seg in 0..design.floorplan().segments().len() {
-            let id = SegId::from_usize(seg);
-            let gaps = self.gaps.slice(seg);
-            let want = self.recompute_gaps(design, id);
-            if gaps != want.as_slice() {
-                return Err(format!(
-                    "segment {seg}: gap list {gaps:?} != recomputed {want:?}"
-                ));
-            }
-            let xs = self.seg_xs.slice(seg);
-            let want = self.recompute_extents(design, id);
-            if xs != want.as_slice() {
-                return Err(format!(
-                    "segment {seg}: extent keys {xs:?} != recomputed {want:?}"
-                ));
-            }
-        }
-        Ok(())
+        (0..design.floorplan().segments().len()).try_for_each(|seg| self.check_segment(design, seg))
     }
 
     /// Extends the per-cell records to cover cells appended to the design
@@ -1007,16 +951,26 @@ mod tests {
         // The interleaved keys mirror the lists entry for entry.
         assert_eq!(s.segment_extents(seg0), &[(0, 3), (5, 7)]);
         assert_eq!(s.segment_extents(seg1), &[(5, 7)]);
+        assert_eq!(s.segment_rows(seg0), &[(0, 1), (0, 2)]);
+        assert_eq!(s.segment_rows(seg1), &[(0, 2)]);
+        assert_eq!(
+            s.list_intersecting(seg1, 0, 20),
+            ListSlice {
+                cells: &[b],
+                extents: &[(5, 7)],
+                rows: &[(0, 2)],
+            }
+        );
     }
 
     #[test]
-    fn gap_cross_check_runs_only_in_debug_builds() {
+    fn index_cross_check_runs_only_in_debug_builds() {
         let (d, a, ..) = fixture();
-        let before = gap_cross_check_count();
+        let before = index_cross_check_count();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(0, 0)).unwrap();
         s.remove(&d, a).unwrap();
-        let delta = gap_cross_check_count() - before;
+        let delta = index_cross_check_count() - before;
         if cfg!(debug_assertions) {
             assert!(
                 delta >= 2,
@@ -1028,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn free_gaps_in_matches_linear_clip() {
+    fn span_is_free_answers_from_the_extents() {
         let (d, a, b, c, _) = fixture();
         let mut s = PlacementState::new(&d);
         s.place(&d, a, SitePoint::new(2, 0)).unwrap();
@@ -1036,42 +990,24 @@ mod tests {
         s.place(&d, c, SitePoint::new(13, 0)).unwrap();
         let seg = s.segment_at(&d, 0, 0).unwrap();
         // Gaps on row 0: [0,2), [5,8), [10,13), [17,20).
-        for (x0, x1) in [
-            (0, 20),
-            (3, 12),
-            (5, 8),   // exactly one gap
-            (2, 5),   // fully occupied window
-            (8, 10),  // fully occupied window
-            (-5, 1),  // clipped left
-            (19, 25), // clipped right
-            (7, 11),  // straddles gap boundaries
+        assert_eq!(
+            s.recompute_gaps(&d, seg),
+            [(0, 2), (5, 8), (10, 13), (17, 20)]
+        );
+        for (x0, x1, free) in [
+            (0, 2, true),   // a whole gap, from the segment start
+            (5, 8, true),   // a whole gap between two cells
+            (17, 20, true), // a whole gap, to the segment end
+            (5, 6, true),   // starts at a cell's right edge
+            (7, 8, true),   // ends at a cell's left edge
+            (4, 6, false),  // reaches back into a
+            (7, 9, false),  // reaches into b
+            (0, 20, false), // the whole segment
+            (6, 6, false),  // empty
+            (3, 3, false),  // empty, inside a cell
         ] {
-            let want: Vec<(i32, i32)> = s
-                .free_gaps(seg)
-                .iter()
-                .filter_map(|&(g0, g1)| {
-                    let (lo, hi) = (g0.max(x0), g1.min(x1));
-                    (lo < hi).then_some((g0, g1))
-                })
-                .collect();
-            assert_eq!(
-                s.free_gaps_in(seg, x0, x1),
-                want.as_slice(),
-                "window ({x0},{x1})"
-            );
+            assert_eq!(s.span_is_free(seg, x0, x1), free, "span [{x0},{x1})");
         }
-    }
-
-    #[test]
-    fn free_gaps_in_excludes_touching_gaps() {
-        let (d, a, ..) = fixture();
-        let mut s = PlacementState::new(&d);
-        s.place(&d, a, SitePoint::new(5, 0)).unwrap();
-        let seg = s.segment_at(&d, 0, 0).unwrap();
-        // Gaps: [0,5), [8,20). A window that only touches them is empty.
-        assert!(s.free_gaps_in(seg, 5, 8).is_empty());
-        assert_eq!(s.free_gaps_in(seg, 4, 8), &[(0, 5)]);
-        assert_eq!(s.free_gaps_in(seg, 5, 9), &[(8, 20)]);
     }
 
     #[test]
@@ -1186,14 +1122,12 @@ mod tests {
         assert_eq!(s.cells_intersecting(seg, 2, 6), &[a, b]);
         assert_eq!(s.cells_intersecting(seg, 0, 20), &[a, b, c]);
         assert_eq!(s.cells_intersecting(seg, 13, 14), &[c]);
+        let hit = s.list_intersecting(seg, 2, 6);
         assert_eq!(
-            s.cells_intersecting_with_extents(seg, 2, 6),
-            (&[a, b][..], &[(0, 3), (5, 7)][..])
+            (hit.cells, hit.extents, hit.rows),
+            (&[a, b][..], &[(0, 3), (5, 7)][..], &[(0, 1), (0, 2)][..])
         );
-        assert_eq!(
-            s.cells_intersecting_with_extents(seg, 3, 5),
-            (&[][..], &[][..])
-        );
+        assert!(s.list_intersecting(seg, 3, 5).cells.is_empty());
     }
 
     #[test]
@@ -1220,8 +1154,9 @@ mod tests {
         assert_eq!(s.position(b), Some(SitePoint::new(5, 0)));
         let seg = s.segment_at(&d, 0, 0).unwrap();
         assert_eq!(s.segment_cells(seg), &[a, b, c]);
-        // The interleaved keys followed the moves.
+        // The interleaved keys followed the moves; the rows stayed.
         assert_eq!(s.segment_extents(seg), &[(2, 5), (5, 7), (7, 11)]);
+        assert_eq!(s.segment_rows(seg), &[(0, 1), (0, 2), (0, 1)]);
     }
 
     #[test]
@@ -1297,7 +1232,7 @@ mod tests {
         let (d, a, b, ..) = fixture();
         let mut s = PlacementState::new(&d);
         let empty = s.index_bytes();
-        assert!(empty > 0, "gap arena exists before any placement");
+        assert!(empty > 0, "offset tables exist before any placement");
         s.place(&d, a, SitePoint::new(0, 0)).unwrap();
         s.place(&d, b, SitePoint::new(5, 0)).unwrap();
         assert!(s.index_bytes() > empty, "cell arenas grew");
@@ -1321,6 +1256,7 @@ mod tests {
                 "segment {si}"
             );
         }
+        s.verify_index(&d).unwrap();
     }
 
     /// Full structural equality of two states through public accessors:
@@ -1339,7 +1275,7 @@ mod tests {
                 b.segment_extents(seg),
                 "seg {si} extents"
             );
-            assert_eq!(a.free_gaps(seg), b.free_gaps(seg), "seg {si} gaps");
+            assert_eq!(a.segment_rows(seg), b.segment_rows(seg), "seg {si} rows");
         }
     }
 

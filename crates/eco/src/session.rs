@@ -490,13 +490,18 @@ impl EcoSession {
             }
         }
 
+        // Both lists are probed once per re-legalized cell or journal
+        // entry below; sorted, a batch at the line cap stays O(n log n).
+        pending_deletes.sort_unstable();
+        edited.sort_unstable();
+
         // Phase 2: re-legalize the disturbed cells (deleted ones excluded)
         // through the standard ladder, reusing the session arena.
         if reject.is_none() {
             let targets: Vec<CellId> = relegalize
                 .iter()
                 .copied()
-                .filter(|c| !pending_deletes.contains(c))
+                .filter(|c| pending_deletes.binary_search(c).is_err())
                 .collect();
             let legalize_t = Instant::now();
             let result =
@@ -514,7 +519,7 @@ impl EcoSession {
         // Phase 3: displacement accounting and the budget gate.
         let mut induced = 0i64;
         for &(cell, orig) in self.state.journal(&sp) {
-            if edited.contains(&cell) {
+            if edited.binary_search(&cell).is_ok() {
                 continue;
             }
             if let (Some(was), Some(now)) = (orig, self.state.position(cell)) {

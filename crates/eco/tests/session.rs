@@ -48,7 +48,7 @@ fn assert_states_identical(design: &Design, a: &PlacementState, b: &PlacementSta
             b.segment_extents(seg),
             "seg {i} extents"
         );
-        assert_eq!(a.free_gaps(seg), b.free_gaps(seg), "seg {i} gaps");
+        assert_eq!(a.segment_rows(seg), b.segment_rows(seg), "seg {i} rows");
     }
 }
 

@@ -134,7 +134,7 @@ fn states_identical(design: &Design, a: &PlacementState, b: &PlacementState) -> 
         let seg = SegId::from_usize(i);
         a.segment_cells(seg) == b.segment_cells(seg)
             && a.segment_extents(seg) == b.segment_extents(seg)
-            && a.free_gaps(seg) == b.free_gaps(seg)
+            && a.segment_rows(seg) == b.segment_rows(seg)
     })
 }
 
@@ -242,7 +242,7 @@ pub fn run_eco_case(
     // Oracle 3 (rollback bit-exactness): replay the stream on a probe
     // session under a zero displacement budget. Any edit that would move a
     // neighbor is rejected, and every rejection must restore the session
-    // byte-identically — positions, segment lists, extents, and gaps.
+    // byte-identically — positions, segment lists, extents, and rows.
     {
         let mut probe = EcoSession::new(
             design.clone(),

@@ -45,6 +45,16 @@
 //!   non-negative sum, and both add the identical vertical term, so the
 //!   search returns bit-identical results to the exhaustive path — same
 //!   insertion point, ties broken by the same emission order.
+//!
+//! A one-row target skips the scanline in the best-first search. Each of
+//! its intervals is one insertion point, every row accepts it (odd-height
+//! cells flip), and the scanline would emit it at its left endpoint, in
+//! `(range.lo, interval index)` order. So the search builds one candidate
+//! per interval straight from the interval list, with that pair as the
+//! tie-break key in place of the emission rank: same bounds, same pop
+//! order, same result and the same combo counters, with no events, sort or
+//! replay. The exhaustive path keeps the scanline for every height, so it
+//! stays an independent reference.
 
 use crate::config::{EvalMode, LegalizerConfig, PowerRailMode};
 use crate::evaluate::{evaluate_exact_in, evaluate_in, vertical_cost, Evaluation, TargetSpec};
@@ -90,7 +100,7 @@ pub fn enumerate_insertion_points(
         eval,
         ..
     } = &mut arena;
-    if !prepare(region, design, target, cfg, intervals, events, rail_ok) {
+    if !prepare(region, design, target, cfg, intervals, rail_ok) {
         return out;
     }
     let intervals: &[InsInterval] = intervals;
@@ -157,7 +167,7 @@ pub fn find_best_insertion_point(
         eval,
         ..
     } = arena;
-    let best = if prepare(region, design, target, cfg, intervals, events, rail_ok) {
+    let best = if prepare(region, design, target, cfg, intervals, rail_ok) {
         let intervals: &[InsInterval] = intervals;
         if cfg.prune {
             best_first(
@@ -177,16 +187,15 @@ pub fn find_best_insertion_point(
     best
 }
 
-/// Builds the insertion intervals, endpoint events, and rail filter for one
-/// search into the arena buffers. Returns `false` when no valid insertion
-/// point can exist (degenerate target, short window, or no intervals).
+/// Builds the insertion intervals and rail filter for one search into the
+/// arena buffers. Returns `false` when no valid insertion point can exist
+/// (degenerate target, short window, or no intervals).
 fn prepare(
     region: &LocalRegion,
     design: &Design,
     target: &TargetSpec,
     cfg: &LegalizerConfig,
     intervals: &mut Vec<InsInterval>,
-    events: &mut Vec<ScanEvent>,
     rail_ok: &mut Vec<bool>,
 ) -> bool {
     let ht = target.h as usize;
@@ -205,7 +214,6 @@ fn prepare(
         cfg.rail_mode == PowerRailMode::Relaxed
             || fp.rail_compatible(target.rail, target.h, region.bottom_row + t as i32)
     }));
-    scan_events(intervals, ht > 1, events);
     true
 }
 
@@ -234,15 +242,16 @@ fn scan_events(intervals: &[InsInterval], close: bool, events: &mut Vec<ScanEven
     events.sort_unstable_by_key(|e| (e.x, e.close, e.idx));
 }
 
-/// The scanline core: invokes `emit(t, interval_ids)` for every valid
-/// insertion point in deterministic emission order (identical for both
-/// search strategies, so they search the same candidate set).
+/// The scanline core: builds the endpoint events into `events`, then
+/// invokes `emit(t, interval_ids)` for every valid insertion point in
+/// deterministic emission order (identical for both search strategies, so
+/// they search the same candidate set).
 #[allow(clippy::too_many_arguments)]
 fn generate<F>(
     region: &LocalRegion,
     target: &TargetSpec,
     intervals: &[InsInterval],
-    events: &[ScanEvent],
+    events: &mut Vec<ScanEvent>,
     rail_ok: &[bool],
     queues: &mut Vec<Vec<u32>>,
     combo: &mut Vec<u32>,
@@ -252,6 +261,7 @@ fn generate<F>(
 {
     let ht = target.h as usize;
     let hw = region.height();
+    scan_events(intervals, ht > 1, events);
     // queues[a * hw + s]: open interval ids of row s pairable with row a.
     // A one-row target pairs row a with no other row and reads none.
     if ht > 1 {
@@ -265,7 +275,7 @@ fn generate<F>(
     let pair_lo = |a: usize| a.saturating_sub(ht - 1);
     let pair_hi = |a: usize| (a + ht - 1).min(hw - 1);
 
-    for ev in events {
+    for ev in events.iter() {
         let iv = &intervals[ev.idx as usize];
         let a = iv.row;
         if ev.close {
@@ -384,7 +394,7 @@ fn exhaustive(
     cfg: &LegalizerConfig,
     aspect: f64,
     intervals: &[InsInterval],
-    events: &[ScanEvent],
+    events: &mut Vec<ScanEvent>,
     rail_ok: &[bool],
     queues: &mut Vec<Vec<u32>>,
     combo: &mut Vec<u32>,
@@ -433,9 +443,97 @@ fn exhaustive(
     })
 }
 
-/// Best-first branch-and-bound: generate all combinations with admissible
-/// lower bounds, then pop them cheapest-bound-first and stop as soon as the
+/// The admissible lower bound of a combination whose intervals share the
+/// feasible range `range`, with bottom row `bottom_row_global`: the
+/// target's own hinge contributes at least its distance to the range, every
+/// other hinge is non-negative, and the vertical term is exact.
+fn lower_bound(target: &TargetSpec, range: Interval, bottom_row_global: i32, aspect: f64) -> f64 {
+    let clamped = target.x.clamp(range.lo, range.hi);
+    let dist = (i64::from(target.x) - i64::from(clamped)).abs();
+    dist as f64 + vertical_cost(target, bottom_row_global, aspect)
+}
+
+/// The scanline's candidates: one per generated combination, keyed by its
+/// emission rank, with its interval ids in `pool`.
+#[allow(clippy::too_many_arguments)]
+fn scan_candidates(
+    region: &LocalRegion,
+    target: &TargetSpec,
+    aspect: f64,
+    intervals: &[InsInterval],
+    events: &mut Vec<ScanEvent>,
+    rail_ok: &[bool],
+    queues: &mut Vec<Vec<u32>>,
+    combo: &mut Vec<u32>,
+    pool: &mut Vec<u32>,
+    cands: &mut Vec<Candidate>,
+) {
+    generate(
+        region,
+        target,
+        intervals,
+        events,
+        rail_ok,
+        queues,
+        combo,
+        &mut |t, ids| {
+            let range = ids
+                .iter()
+                .fold(Interval::new(i32::MIN, i32::MAX), |acc, &j| {
+                    acc.intersect(&intervals[j as usize].range)
+                });
+            cands.push(Candidate {
+                bound: lower_bound(target, range, region.bottom_row + t as i32, aspect),
+                key: cands.len() as u64,
+                bottom_row: t as u32,
+                pool_start: pool.len() as u32,
+            });
+            pool.extend_from_slice(ids);
+        },
+    );
+}
+
+/// The candidates of a one-row target, straight from the intervals: each
+/// interval is one insertion point (Section 5.1.2). The scanline would emit
+/// them in `(range.lo, interval index)` order — its events are the left
+/// endpoints sorted by that pair, and every row passes the rail filter
+/// since odd-height cells flip — so that pair, packed into the key, ranks
+/// them exactly as the emission rank does. A one-row combination's id list
+/// is its own interval id, so `pool` holds the identity.
+fn one_row_candidates(
+    region: &LocalRegion,
+    target: &TargetSpec,
+    aspect: f64,
+    intervals: &[InsInterval],
+    rail_ok: &[bool],
+    pool: &mut Vec<u32>,
+    cands: &mut Vec<Candidate>,
+) {
+    debug_assert_eq!(target.h, 1);
+    for (i, iv) in intervals.iter().enumerate() {
+        debug_assert!(rail_ok[iv.row], "odd-height targets fit every row");
+        cands.push(Candidate {
+            bound: lower_bound(target, iv.range, region.bottom_row + iv.row as i32, aspect),
+            key: one_row_key(iv.range.lo, i),
+            bottom_row: iv.row as u32,
+            pool_start: i as u32,
+        });
+    }
+    pool.extend(0..intervals.len() as u32);
+}
+
+/// `(lo, index)` packed into one `u64` that orders like the pair: `lo`
+/// with its sign bit flipped in the high half, the interval index in the
+/// low half.
+fn one_row_key(lo: i32, index: usize) -> u64 {
+    (u64::from(lo as u32 ^ (1 << 31)) << 32) | index as u64
+}
+
+/// Best-first branch-and-bound: build every candidate with its admissible
+/// lower bound, then pop them cheapest-bound-first and stop as soon as the
 /// incumbent can no longer be beaten. Result-identical to [`exhaustive`].
+/// A one-row target's candidates come straight from the intervals; taller
+/// targets run the scanline.
 #[allow(clippy::too_many_arguments)]
 fn best_first(
     region: &LocalRegion,
@@ -443,7 +541,7 @@ fn best_first(
     cfg: &LegalizerConfig,
     aspect: f64,
     intervals: &[InsInterval],
-    events: &[ScanEvent],
+    events: &mut Vec<ScanEvent>,
     rail_ok: &[bool],
     queues: &mut Vec<Vec<u32>>,
     combo: &mut Vec<u32>,
@@ -458,49 +556,27 @@ fn best_first(
     let ht = target.h as usize;
     pool.clear();
     cands.clear();
-    generate(
-        region,
-        target,
-        intervals,
-        events,
-        rail_ok,
-        queues,
-        combo,
-        &mut |t, ids| {
-            phases.combos_generated += 1;
-            // Admissible bound: the target's own hinge contributes at least
-            // its distance to the feasible range, every other hinge is
-            // non-negative, and the vertical term is exact.
-            let range = ids
-                .iter()
-                .fold(Interval::new(i32::MIN, i32::MAX), |acc, &j| {
-                    acc.intersect(&intervals[j as usize].range)
-                });
-            let clamped = target.x.clamp(range.lo, range.hi);
-            let dist = (i64::from(target.x) - i64::from(clamped)).abs();
-            let bound = dist as f64 + vertical_cost(target, region.bottom_row + t as i32, aspect);
-            cands.push(Candidate {
-                bound,
-                emit_idx: cands.len() as u32,
-                bottom_row: t as u32,
-                pool_start: pool.len() as u32,
-            });
-            pool.extend_from_slice(ids);
-        },
-    );
+    if ht == 1 {
+        one_row_candidates(region, target, aspect, intervals, rail_ok, pool, cands);
+    } else {
+        scan_candidates(
+            region, target, aspect, intervals, events, rail_ok, queues, combo, pool, cands,
+        );
+    }
+    phases.combos_generated += cands.len() as u64;
 
     // Reuse the candidate buffer as the heap's backing storage so the
     // steady-state pop loop allocates nothing.
     let mut heap = BinaryHeap::from(std::mem::take(cands));
-    let mut best: Option<(Evaluation, u32, usize)> = None;
+    let mut best: Option<(Evaluation, u64, usize)> = None;
     while let Some(c) = heap.pop() {
-        if let Some((bev, bemit, _)) = &best {
-            // The heap pops in (bound, emit_idx) order, so once a popped
+        if let Some((bev, bkey, _)) = &best {
+            // The heap pops in (bound, key) order, so once a popped
             // candidate cannot beat the incumbent — bound above the best
             // cost, or equal-bound but later-emitted (a tie would lose to
             // the incumbent's earlier emission) — neither can anything
             // still on the heap.
-            if c.bound > bev.cost || (c.bound == bev.cost && c.emit_idx > *bemit) {
+            if c.bound > bev.cost || (c.bound == bev.cost && c.key > *bkey) {
                 phases.combos_pruned += 1 + heap.len() as u64;
                 break;
             }
@@ -523,12 +599,10 @@ fn best_first(
         probe.close(phases, trace);
         let better = match &best {
             None => true,
-            Some((bev, bemit, _)) => {
-                ev.cost < bev.cost || (ev.cost == bev.cost && c.emit_idx < *bemit)
-            }
+            Some((bev, bkey, _)) => ev.cost < bev.cost || (ev.cost == bev.cost && c.key < *bkey),
         };
         if better {
-            best = Some((ev, c.emit_idx, c.bottom_row as usize));
+            best = Some((ev, c.key, c.bottom_row as usize));
             best_combo.clear();
             best_combo.extend_from_slice(ids);
         }
@@ -883,6 +957,69 @@ mod tests {
             scan_events(&intervals, false, &mut events);
             pushed.retain(|&(_, close, _)| !close);
             assert_eq!(keys(&events), pushed);
+        }
+    }
+
+    /// The one-row candidates pop off the heap in the same order, with the
+    /// same bounds and intervals, as the candidates the scanline builds for
+    /// the same one-row target. Many `lo` values coincide, and rows 1 and
+    /// 3 (0 and 4) are equally far from `target.y = 2`, so bounds tie and
+    /// the interval index decides.
+    #[test]
+    fn one_row_candidates_pop_in_scanline_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng as _, SeedableRng as _};
+        let mut rng = SmallRng::seed_from_u64(11);
+        let region = LocalRegion {
+            bottom_row: 0,
+            rows: vec![None; 5],
+            ..LocalRegion::default()
+        };
+        let rail_ok = vec![true; 5];
+        let (mut events, mut queues, mut combo) = (Vec::new(), Vec::new(), Vec::new());
+        let popped = |pool: &[u32], cands: &[Candidate]| -> Vec<(f64, u32, u32)> {
+            let mut heap = BinaryHeap::from(cands.to_vec());
+            std::iter::from_fn(|| heap.pop())
+                .map(|c| (c.bound, pool[c.pool_start as usize], c.bottom_row))
+                .collect()
+        };
+        for _ in 0..500 {
+            // Row-major, like `insertion_intervals_into`.
+            let mut intervals: Vec<InsInterval> = (0..rng.gen_range(0..40))
+                .map(|_| {
+                    let lo = rng.gen_range(0..6);
+                    InsInterval {
+                        row: rng.gen_range(0..5),
+                        gap: 0,
+                        left: None,
+                        right: None,
+                        range: Interval::new(lo, lo + rng.gen_range(0..4)),
+                    }
+                })
+                .collect();
+            intervals.sort_by_key(|iv| iv.row);
+            let t = target(2, 1, rng.gen_range(-2..10), 2);
+            let aspect = [1.0, 8.0][rng.gen_range(0..2)];
+            let (mut pool, mut cands) = (Vec::new(), Vec::new());
+            scan_candidates(
+                &region,
+                &t,
+                aspect,
+                &intervals,
+                &mut events,
+                &rail_ok,
+                &mut queues,
+                &mut combo,
+                &mut pool,
+                &mut cands,
+            );
+            let scanline = popped(&pool, &cands);
+            assert_eq!(scanline.len(), intervals.len());
+            let (mut pool, mut cands) = (Vec::new(), Vec::new());
+            one_row_candidates(
+                &region, &t, aspect, &intervals, &rail_ok, &mut pool, &mut cands,
+            );
+            assert_eq!(popped(&pool, &cands), scanline, "intervals {intervals:?}");
         }
     }
 

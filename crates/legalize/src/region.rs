@@ -21,12 +21,13 @@
 //! independent of design size and allocation-free in steady state:
 //!
 //! * Each window row is read once. Per segment, one
-//!   [`PlacementState::cells_intersecting_with_extents`] call (two binary
-//!   searches) returns the listed cells near the window with their
-//!   x-extents, and each entry is tagged inside or frozen. A row's free
-//!   runs are the spans between its frozen entries and the segment or
-//!   window ends, minus fence spans: no gap-list query, no per-row sort and
-//!   no scan over the inside cells.
+//!   [`PlacementState::list_intersecting`] call (two binary searches)
+//!   returns the listed cells near the window with their footprints — the
+//!   x-extent, bottom row and height each list entry carries — and each
+//!   entry is tagged inside or frozen without reading the cell's position
+//!   or the design's cell record. A row's free runs are the spans between
+//!   its frozen entries and the segment or window ends, minus fence spans:
+//!   no gap query, no per-row sort and no scan over the inside cells.
 //! * The fixpoint re-solves only the rows a demotion touched. A row's
 //!   chosen run depends only on that row's entries and the fences, and a
 //!   demoted cell changes only the entries of the rows it spans.
@@ -384,9 +385,10 @@ impl LocalRegion {
         let center2 = 2 * window.x + window.w;
 
         // Collection: every listed cell of every window row, tagged inside
-        // or frozen, with its footprint on the row. `cells_intersecting_*`
-        // is a binary-search subslice of the segment's ordered list, so
-        // this touches only cells near the window.
+        // or frozen, with its footprint on the row. `list_intersecting` is
+        // a binary-search subslice of the segment's ordered list, and its
+        // entries carry each cell's footprint, so this touches only list
+        // entries near the window.
         let ExtractScratch {
             inside,
             entries,
@@ -409,12 +411,13 @@ impl LocalRegion {
                 }
                 let seg_id = SegId::from_usize(base + idx);
                 let start = entries.len() as u32;
-                let (cells, extents) = state.cells_intersecting_with_extents(seg_id, x0, x1);
-                for (&cell, &(cx0, cx1)) in cells.iter().zip(extents) {
+                let list = state.list_intersecting(seg_id, x0, x1);
+                for ((&cell, &(cx0, cx1)), &(y, h)) in
+                    list.cells.iter().zip(list.extents).zip(list.rows)
+                {
                     let mut is_inside = false;
                     if window.x <= cx0 && cx1 <= window.right() {
-                        let y = state.position(cell).expect("listed cell placed").y;
-                        let rect = SiteRect::new(cx0, y, cx1 - cx0, design.cell(cell).height());
+                        let rect = SiteRect::new(cx0, y, cx1 - cx0, h);
                         is_inside = window.contains_rect(&rect);
                         // A multi-row cell is listed on every row it spans;
                         // collect it on its bottom row only.
@@ -871,9 +874,11 @@ mod tests {
         }
     }
 
-    /// The extraction before the frozen-run rewrite, kept verbatim as the
-    /// oracle: per row and segment the windowed gaps unioned with the
-    /// inside cells' spans, a full re-pass fixpoint, and a tuple sort.
+    /// The extraction before the frozen-run rewrite, kept as the oracle:
+    /// per row and segment the free gaps rebuilt from the cell list and
+    /// clipped to the window, unioned with the inside cells' spans, a full
+    /// re-pass fixpoint, and a tuple sort. Footprints come from `pos[]` and
+    /// the design, not from the list entries.
     fn reference_extract(
         design: &Design,
         state: &PlacementState,
@@ -924,7 +929,7 @@ mod tests {
                     let base = fp.row_segment_base(row).expect("row in range");
                     let seg_id = SegId::from_usize(base + idx);
                     let mut free: Vec<(i32, i32)> = state
-                        .free_gaps_in(seg_id, sx0, sx1)
+                        .recompute_gaps(design, seg_id)
                         .iter()
                         .filter_map(|&(g0, g1)| {
                             let (a, b) = (g0.max(sx0), g1.min(sx1));

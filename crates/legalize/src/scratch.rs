@@ -43,15 +43,18 @@ pub(crate) struct ScanEvent {
 /// keyed by its admissible displacement lower bound.
 ///
 /// `Ord` is **reversed** so that [`std::collections::BinaryHeap`] (a
-/// max-heap) pops the smallest `(bound, emit_idx)` first; `emit_idx` is the
-/// scanline emission rank and makes the order — and therefore the search
-/// result — fully deterministic.
+/// max-heap) pops the smallest `(bound, key)` first; `key` ranks the
+/// candidates in scanline emission order and makes the order — and
+/// therefore the search result — fully deterministic.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Candidate {
     /// Admissible lower bound on the combination's total cost.
     pub bound: f64,
-    /// Rank in scanline emission order (the exhaustive tie-break order).
-    pub emit_idx: u32,
+    /// Tie-break key, unique within one search and ordered like the
+    /// scanline emission rank (the exhaustive tie-break order): the rank
+    /// itself, or for a one-row target `(range.lo, interval index)` packed
+    /// into one integer.
+    pub key: u64,
     /// Local bottom row of the spanned window.
     pub bottom_row: u32,
     /// Start of the combination's `target.h` interval ids in
@@ -78,7 +81,7 @@ impl Ord for Candidate {
         other
             .bound
             .total_cmp(&self.bound)
-            .then_with(|| other.emit_idx.cmp(&self.emit_idx))
+            .then_with(|| other.key.cmp(&self.key))
     }
 }
 
@@ -108,7 +111,8 @@ pub(crate) struct EvalScratch {
 pub struct ScratchArena {
     /// Insertion intervals of the current region/target.
     pub(crate) intervals: Vec<InsInterval>,
-    /// Scanline endpoint events over `intervals`.
+    /// Scanline endpoint events over `intervals` (not built for a pruned
+    /// one-row search).
     pub(crate) events: Vec<ScanEvent>,
     /// Per-window-bottom-row power-rail feasibility.
     pub(crate) rail_ok: Vec<bool>,
@@ -120,7 +124,8 @@ pub struct ScratchArena {
     pub(crate) combo: Vec<u32>,
     /// The current combination materialized for the evaluators.
     pub(crate) combo_buf: Vec<InsInterval>,
-    /// Flat storage of generated combinations (`target.h` ids each).
+    /// Flat storage of generated combinations (`target.h` ids each; for a
+    /// one-row target, interval `i`'s own id at slot `i`).
     pub(crate) pool: Vec<u32>,
     /// Branch-and-bound candidates; doubles as the binary heap's backing
     /// storage so the heap itself allocates nothing in steady state.
@@ -147,10 +152,10 @@ mod tests {
     use super::*;
     use std::collections::BinaryHeap;
 
-    fn cand(bound: f64, emit_idx: u32) -> Candidate {
+    fn cand(bound: f64, key: u64) -> Candidate {
         Candidate {
             bound,
-            emit_idx,
+            key,
             bottom_row: 0,
             pool_start: 0,
         }
@@ -160,8 +165,8 @@ mod tests {
     fn heap_pops_smallest_bound_then_earliest_emission() {
         let mut heap =
             BinaryHeap::from(vec![cand(2.0, 0), cand(1.0, 3), cand(1.0, 1), cand(0.5, 7)]);
-        let order: Vec<(f64, u32)> = std::iter::from_fn(|| heap.pop())
-            .map(|c| (c.bound, c.emit_idx))
+        let order: Vec<(f64, u64)> = std::iter::from_fn(|| heap.pop())
+            .map(|c| (c.bound, c.key))
             .collect();
         assert_eq!(order, vec![(0.5, 7), (1.0, 1), (1.0, 3), (2.0, 0)]);
     }

@@ -12,9 +12,9 @@ use mrl_synth::{generate_witness, WitnessConfig};
 use proptest::prelude::*;
 
 /// Every externally observable facet of a `PlacementState`: per-cell
-/// positions plus the per-segment ordered cell lists, occupied extents,
-/// and free gaps. Two states with equal snapshots are interchangeable for
-/// every query the legalizer can make.
+/// positions plus the per-segment ordered cell lists with their extents
+/// and rows (free gaps are a function of these). Two states with equal
+/// snapshots are interchangeable for every query the legalizer can make.
 type SegSnapshot = (Vec<CellId>, Vec<(i32, i32)>, Vec<(i32, i32)>);
 
 #[derive(Debug, PartialEq, Eq)]
@@ -35,7 +35,7 @@ fn snapshot(design: &Design, state: &PlacementState) -> Snapshot {
                 (
                     state.segment_cells(seg).to_vec(),
                     state.segment_extents(seg).to_vec(),
-                    state.free_gaps(seg).to_vec(),
+                    state.segment_rows(seg).to_vec(),
                 )
             })
             .collect(),

@@ -4,13 +4,14 @@
 //! * The parallel driver must be a pure function of configuration and
 //!   seed: running with 1, 2, and N worker threads on the same synthesized
 //!   design must produce byte-identical `.pl`-style output.
-//! * The incremental free-gap index kept by `PlacementState` must agree
-//!   with a from-scratch recomputation from the per-segment cell lists
-//!   after arbitrary mutation sequences (place / MLL shifts / remove).
+//! * The occupancy index kept by `PlacementState` — each list entry's
+//!   extent, bottom row and height — must agree with a from-scratch
+//!   rebuild from the authoritative positions after arbitrary mutation
+//!   sequences (place / MLL shifts / remove).
 
 use std::time::Duration;
 
-use mrl_db::{CellId, Design, DesignBuilder, PlacementState, SegId};
+use mrl_db::{CellId, Design, DesignBuilder, PlacementState};
 use mrl_legalize::{Legalizer, LegalizerConfig, PhaseTimes};
 use mrl_metrics::{check_legal, RailCheck};
 use mrl_synth::{generate, BenchmarkSpec, GeneratorConfig};
@@ -62,15 +63,10 @@ fn parallel_driver_is_thread_count_invariant() {
     }
 }
 
-/// All segments' incremental gap lists vs the slow recomputation.
-fn assert_gaps_consistent(design: &Design, state: &PlacementState, context: &str) {
-    for i in 0..design.floorplan().segments().len() {
-        let seg = SegId::from_usize(i);
-        assert_eq!(
-            state.free_gaps(seg),
-            state.recompute_gaps(design, seg).as_slice(),
-            "occupancy index diverged from seg_cells rescan for segment {i} {context}"
-        );
+/// The whole occupancy index vs the slow rebuild from `pos[]`.
+fn assert_index_consistent(design: &Design, state: &PlacementState, context: &str) {
+    if let Err(e) = state.verify_index(design) {
+        panic!("occupancy index diverged {context}: {e}");
     }
 }
 
@@ -218,10 +214,10 @@ proptest! {
         if Legalizer::new(cfg).legalize(&design, &mut state).is_err() {
             // Unplaceable dense corner: whatever was placed must still
             // leave the index consistent.
-            assert_gaps_consistent(&design, &state, "after failed legalization");
+            assert_index_consistent(&design, &state, "after failed legalization");
             return Ok(());
         }
-        assert_gaps_consistent(&design, &state, "after legalization");
+        assert_index_consistent(&design, &state, "after legalization");
 
         // Remove every other cell and re-check.
         for &c in ids.iter().step_by(2) {
@@ -229,6 +225,6 @@ proptest! {
                 state.remove(&design, c).expect("remove placed cell");
             }
         }
-        assert_gaps_consistent(&design, &state, "after removals");
+        assert_index_consistent(&design, &state, "after removals");
     }
 }

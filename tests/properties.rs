@@ -11,6 +11,8 @@
 //! * the exact evaluator's cost equals the realized displacement,
 //! * exact-mode MLL equals the MILP local optimum,
 //! * leftmost/rightmost placements bound every legal same-order position,
+//! * the occupancy index's `span_is_free` equals the free gaps rebuilt
+//!   from the cell lists,
 //! * nested journal savepoints roll back exactly and fold like a flat log.
 
 use mrl_db::{CellId, Design, DesignBuilder, PlacementState, Savepoint, SegId};
@@ -328,9 +330,14 @@ proptest! {
             y: s.target_pos.1,
             rail: PowerRail::Vdd,
         };
-        for eval_mode in [EvalMode::Approximate, EvalMode::Exact] {
+        for (eval_mode, rail_mode) in [
+            (EvalMode::Approximate, PowerRailMode::Relaxed),
+            (EvalMode::Exact, PowerRailMode::Relaxed),
+            (EvalMode::Approximate, PowerRailMode::Aligned),
+            (EvalMode::Exact, PowerRailMode::Aligned),
+        ] {
             let base = LegalizerConfig::default()
-                .with_rail_mode(PowerRailMode::Relaxed)
+                .with_rail_mode(rail_mode)
                 .with_eval_mode(eval_mode);
             let mut full_ctx = LegalizeCtx::new();
             let full = find_best_insertion_point(
@@ -349,7 +356,7 @@ proptest! {
                 &mut pruned_ctx,
             );
             let (full_times, pruned_times) = (full_ctx.stats.phases, pruned_ctx.stats.phases);
-            prop_assert_eq!(&pruned, &full, "eval_mode={:?}", eval_mode);
+            prop_assert_eq!(&pruned, &full, "{:?}, {:?}", eval_mode, rail_mode);
             prop_assert_eq!(
                 pruned_times.combos_generated, full_times.combos_generated,
                 "both modes must consider the same candidate set"
@@ -367,39 +374,9 @@ proptest! {
         }
     }
 
-    /// The windowed free-gap query returns exactly the gaps the linear
-    /// scan-and-filter finds, for every segment and arbitrary windows
-    /// (including empty and touching-only ones).
-    #[test]
-    fn windowed_gap_query_matches_linear_scan(s in scenario()) {
-        let Some((design, state, _)) = build(&s) else { return Ok(()) };
-        let fp = design.floorplan();
-        let (tx, ty) = s.target_pos;
-        for si in 0..fp.segments().len() {
-            let seg = mrl_db::SegId::from_usize(si);
-            let all = state.free_gaps(seg);
-            for (x0, x1) in [
-                (0, s.width),
-                (tx - 3, tx + 4),
-                (tx, tx),
-                (tx + ty, tx + ty + 6),
-                (-5, 2),
-                (s.width - 2, s.width + 5),
-            ] {
-                let windowed = state.free_gaps_in(seg, x0, x1);
-                let oracle: Vec<(i32, i32)> = all
-                    .iter()
-                    .copied()
-                    .filter(|&(g0, g1)| g1 > x0 && g0 < x1)
-                    .collect();
-                prop_assert_eq!(windowed, oracle.as_slice(), "seg {} [{}, {})", si, x0, x1);
-            }
-        }
-    }
-
     /// The interleaved occupancy index stays equal to a linear rebuild
     /// from the authoritative `pos[]` record across arbitrary
-    /// place/unplace/shift sequences (extent keys and gaps).
+    /// place/unplace/shift sequences (extent keys, rows and heights).
     #[test]
     fn interleaved_index_matches_pos_rebuild(s in scenario()) {
         let Some((design, mut fast, _)) = build(&s) else { return Ok(()) };
@@ -432,22 +409,99 @@ proptest! {
                     }
                 }
             }
-            for si in 0..design.floorplan().segments().len() {
-                let seg = SegId::from_usize(si);
-                // Interleaved keys == linear rebuild from pos[].
-                let fast_rebuild = fast.recompute_extents(&design, seg);
-                prop_assert_eq!(
-                    fast.segment_extents(seg),
-                    fast_rebuild.as_slice(),
-                    "fast extents, seg {}", si
-                );
-                // Incremental gaps == rebuild from the cell lists.
-                let gap_rebuild = fast.recompute_gaps(&design, seg);
-                prop_assert_eq!(
-                    fast.free_gaps(seg),
-                    gap_rebuild.as_slice(),
-                    "fast gaps, seg {}", si
-                );
+            // Every entry's extent, bottom row and height == the linear
+            // rebuild from pos[].
+            prop_assert_eq!(fast.verify_index(&design), Ok(()));
+        }
+    }
+
+    /// Random place / remove / shift_batch sequences over cells 1–3 rows
+    /// tall, on rows that blockages split into several segments. After
+    /// every step the index equals its rebuild from `pos[]` (each entry's
+    /// extent, bottom row and height), and `span_is_free` equals the answer
+    /// of the free gaps rebuilt from the cell lists — for zero-width spans,
+    /// spans touching a cell edge or a segment end, whole gaps, and random
+    /// spans inside each segment.
+    #[test]
+    fn span_is_free_matches_gap_rebuild(
+        rows in 3..7i32,
+        width in 12..40i32,
+        blockages in proptest::collection::vec((0..40i32, 0..7i32, 1..4i32, 1..3i32), 0..5),
+        cells in proptest::collection::vec((1..5i32, 1..4i32), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let mut b = DesignBuilder::new(rows, width);
+        for &(x, y, w, h) in &blockages {
+            let (x, y) = (x % width, y % rows);
+            b.add_blockage(SiteRect::new(x, y, w.min(width - x), h.min(rows - y)));
+        }
+        let ids: Vec<CellId> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, h))| b.add_cell(format!("c{i}"), w, h.min(rows)))
+            .collect();
+        let Ok(design) = b.finish() else {
+            return Err(TestCaseError::reject("over capacity"));
+        };
+        let segments = design.floorplan().segments();
+        let mut state = PlacementState::new(&design);
+        let mut rng = Lcg(seed | 1);
+        for step in 0..48 {
+            let id = ids[rng.below(ids.len() as u64) as usize];
+            match (rng.below(4), state.position(id)) {
+                (0, Some(_)) => {
+                    state.remove(&design, id).expect("placed");
+                }
+                (_, None) => {
+                    let at = SitePoint::new(
+                        rng.below(width as u64) as i32,
+                        rng.below(rows as u64) as i32,
+                    );
+                    let _ = state.place_ignoring_rails(&design, id, at);
+                }
+                (1, Some(p)) => {
+                    let new_x = p.x + rng.below(7) as i32 - 3;
+                    let _ = state.shift_batch(&design, &[(id, new_x)]);
+                }
+                _ => {
+                    // Every placed cell by the same offset: a multi-cell
+                    // batch that keeps each list's order.
+                    let d = rng.below(5) as i32 - 2;
+                    let moves: Vec<(CellId, i32)> =
+                        state.iter_placed().map(|(c, p)| (c, p.x + d)).collect();
+                    let _ = state.shift_batch(&design, &moves);
+                }
+            }
+            prop_assert_eq!(state.verify_index(&design), Ok(()), "step {}", step);
+            for (si, seg) in segments.iter().enumerate() {
+                let seg_id = SegId::from_usize(si);
+                let gaps = state.recompute_gaps(&design, seg_id);
+                let (sx0, sx1) = (seg.x, seg.right());
+                let mut spans: Vec<(i32, i32)> = gaps.clone();
+                for k in 0..4 {
+                    spans.push((sx0, sx0 + k));
+                    spans.push((sx1 - k, sx1));
+                }
+                for &(a, e) in state.segment_extents(seg_id) {
+                    for k in 0..3 {
+                        spans.extend([(e, e + k), (a - k, a), (a, e), (e - 1, e + k)]);
+                    }
+                }
+                for _ in 0..8 {
+                    let x0 = sx0 + rng.below(seg.width as u64) as i32;
+                    spans.push((x0, x0 + rng.below((sx1 - x0 + 1) as u64) as i32));
+                }
+                for (x0, x1) in spans {
+                    if x0 < sx0 || x1 > sx1 || x1 < x0 {
+                        continue;
+                    }
+                    let brute = x0 < x1 && gaps.iter().any(|&(g0, g1)| g0 <= x0 && x1 <= g1);
+                    prop_assert_eq!(
+                        state.span_is_free(seg_id, x0, x1),
+                        brute,
+                        "step {}, seg {} [{}, {}), gaps {:?}", step, si, x0, x1, &gaps
+                    );
+                }
             }
         }
     }
@@ -695,7 +749,7 @@ fn eco_states_identical(design: &Design, a: &PlacementState, b: &PlacementState)
         let seg = SegId::from_usize(i);
         a.segment_cells(seg) == b.segment_cells(seg)
             && a.segment_extents(seg) == b.segment_extents(seg)
-            && a.free_gaps(seg) == b.free_gaps(seg)
+            && a.segment_rows(seg) == b.segment_rows(seg)
     })
 }
 
