@@ -14,12 +14,13 @@
 //! — totally unimodular — so branch-and-bound over `δ` alone yields
 //! integral optima.
 //!
-//! The fast engine ([`LocalSolver::ExhaustiveExact`]) enumerates every
-//! valid insertion point and scores it with the exact chain evaluator; for
-//! a fixed insertion point the minimal-push realization attains each
-//! cell's hinge lower bound, so the best insertion point is the same
-//! optimum the MILP finds. Property tests in `tests/` assert the two
-//! engines agree.
+//! The fast engine ([`LocalSolver::ExhaustiveExact`]) runs the MLL
+//! best-first insertion-point search in exact evaluation mode, whose result
+//! is identical to scoring every valid insertion point with the exact
+//! chain evaluator; for a fixed insertion point the minimal-push
+//! realization attains each cell's hinge lower bound, so the best
+//! insertion point is the same optimum the MILP finds. Property tests in
+//! `tests/` assert the two engines agree.
 
 use mrl_db::{CellId, Design, PlacementState};
 use mrl_geom::SitePoint;
@@ -37,8 +38,9 @@ pub enum LocalSolver {
     /// `lpsolve` baseline; slow).
     #[default]
     Milp,
-    /// Exhaustive insertion-point enumeration under exact evaluation
-    /// (provably the same optimum; much faster).
+    /// MLL's best-first insertion-point search under exact evaluation:
+    /// the same result as scoring every insertion point, and so provably
+    /// the same optimum; much faster.
     ExhaustiveExact,
 }
 
@@ -305,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_engine_delegates_to_exact_mll() {
+    fn exact_engine_delegates_to_exact_mll() {
         let mut b = DesignBuilder::new(4, 24);
         for i in 0..6 {
             let c = b.add_cell(format!("c{i}"), 2, 1 + (i % 2));

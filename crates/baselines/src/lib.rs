@@ -6,9 +6,9 @@
 //!   incremental driver as Algorithm 1, but each local problem is solved
 //!   to optimality. Two interchangeable optimal engines are provided: the
 //!   faithful mixed-integer program solved with `mrl-ilp` (the paper used
-//!   `lpsolve`), and an exhaustive enumeration of all insertion points
-//!   under exact evaluation, which provably reaches the same optimum and
-//!   runs much faster ([`LocalSolver`]).
+//!   `lpsolve`), and MLL's insertion-point search under exact evaluation,
+//!   whose result equals scoring every insertion point, so it provably
+//!   reaches the same optimum and runs much faster ([`LocalSolver`]).
 //! * [`AbacusLegalizer`] — the classic row-based legalizer
 //!   (Spindler et al., ISPD 2008) extended to mixed heights the way the
 //!   paper's introduction describes prior work doing: multi-row cells are

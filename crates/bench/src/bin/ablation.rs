@@ -8,13 +8,10 @@
 //! * `--what order`     — Algorithm 1's "arbitrary" cell order,
 //! * `--what baselines` — MLL vs Abacus-two-step vs greedy Tetris,
 //! * `--what refine`    — MLL alone vs MLL + optimal fixed-order row
-//!   re-packing (refs. \[8\]/\[9\] adapted to multi-row barriers),
-//! * `--what prune`     — best-first branch-and-bound insertion-point
-//!   search vs exhaustive evaluation on the same seed (results must be
-//!   identical; only the evaluated-combination count and time may differ).
+//!   re-packing (refs. \[8\]/\[9\] adapted to multi-row barriers).
 //!
 //! ```text
-//! ablation [--what eval|window|order|baselines|refine|prune|all]
+//! ablation [--what eval|window|order|baselines|refine|all]
 //!          [--scale N] [--seed S]
 //! ```
 
@@ -72,9 +69,6 @@ fn main() {
     }
     if what == "refine" || what == "all" {
         ablate_refine(&designs, seed);
-    }
-    if what == "prune" || what == "all" {
-        ablate_prune(&designs, seed);
     }
 }
 
@@ -187,46 +181,6 @@ fn ablate_refine(designs: &[Design], seed: u64) {
             format!("{after:.3}"),
             stats.moved.to_string(),
         ]);
-    }
-    println!("{t}");
-}
-
-fn ablate_prune(designs: &[Design], seed: u64) {
-    println!("== insertion-point search: branch-and-bound (paper kernel) vs exhaustive ==");
-    let mut t = Table::new(&[
-        "benchmark",
-        "search",
-        "disp",
-        "time(s)",
-        "generated",
-        "evaluated",
-    ]);
-    for d in designs {
-        let mut disps = Vec::new();
-        for (label, prune) in [("pruned", true), ("exhaustive", false)] {
-            let cfg = LegalizerConfig::paper().with_prune(prune).with_seed(seed);
-            let mut state = PlacementState::new(d);
-            let t0 = Instant::now();
-            let stats = Legalizer::new(cfg)
-                .legalize(d, &mut state)
-                .expect("legalize");
-            let secs = t0.elapsed().as_secs_f64();
-            assert!(check_legal(d, &state, RailCheck::Enforce).is_ok());
-            let disp = displacement_stats(d, &state).avg_sites;
-            disps.push(disp);
-            t.row(&[
-                d.name().to_string(),
-                label.to_string(),
-                format!("{disp:.3}"),
-                format!("{secs:.3}"),
-                stats.phases.combos_generated.to_string(),
-                stats.phases.combos_evaluated.to_string(),
-            ]);
-        }
-        assert!(
-            disps[0] == disps[1],
-            "pruned and exhaustive searches must be result-identical"
-        );
     }
     println!("{t}");
 }

@@ -22,10 +22,9 @@
 //!   design at each cell count (ascending), recording throughput,
 //!   displacement, phase times, and peak RSS per point into a
 //!   `trajectory` array. The smallest point additionally populates the
-//!   standard report sections (best-of-3 sequential, exhaustive pruning
-//!   check, metrics digest) so the regression gate keeps working against
-//!   a sweep-produced report. Points above 30 000 cells run sequential
-//!   and parallel once each and skip the exhaustive pass.
+//!   standard report sections (best-of-3 sequential, metrics digest) so
+//!   the regression gate keeps working against a sweep-produced report.
+//!   Points above 30 000 cells run sequential and parallel once each.
 //! * `--util-sweep U1,U2,..` — utilization sweep: legalize a
 //!   witness-backed 4 000-cell design (feasibility guaranteed by
 //!   construction) at each utilization, recording placement rate,
@@ -45,10 +44,9 @@
 //!   to skip the comparison (e.g. when the hardware differs from the
 //!   machine that produced the baseline).
 //!
-//! Besides the pruned sequential and parallel runs, the harness runs the
-//! sequential driver once more with branch-and-bound pruning disabled
-//! (`exhaustive` in the report) and reports `prune_ratio`: exhaustively
-//! evaluated combos divided by the pruned run's evaluated combos.
+//! The report's `prune_ratio` is the sequential run's generated combos
+//! divided by its evaluated combos: how many times fewer insertion points
+//! the best-first search scores than scoring every enumerated point would.
 
 use mrl_bench::json::Json;
 use mrl_db::{Design, PlacementState};
@@ -58,9 +56,8 @@ use mrl_synth::{
     generate, generate_witness, ispd2015_suite, BenchmarkSpec, GeneratorConfig, WitnessConfig,
 };
 
-/// Largest cell count at which the harness still runs best-of-3 repeats
-/// and the exhaustive (prune-disabled) pass; larger sweep points get one
-/// sequential and one parallel run each.
+/// Largest cell count at which the harness still runs best-of-3 repeats;
+/// larger sweep points get one sequential and one parallel run each.
 const FULL_PROTOCOL_MAX_CELLS: usize = 30_000;
 
 fn run_to_json(design: &Design, stats: &LegalizeStats, state: &PlacementState) -> Json {
@@ -265,7 +262,7 @@ fn main() {
         ),
     };
     let design = generate(&spec, &gen_cfg).expect("generate benchmark");
-    let full = single_point(&design, &lcfg, seed, threads, true);
+    let full = single_point(&design, &lcfg, threads, true);
 
     if let Some(path) = json_path {
         let mut root = full_report(&design, &lcfg, seed, threads, &full);
@@ -294,13 +291,12 @@ fn adhoc_spec(cells: usize, density: f64) -> BenchmarkSpec {
     )
 }
 
-/// One measured design: pruned sequential (best-of-3 when `full`),
-/// exhaustive cross-check (when `full`), and one parallel run.
+/// One measured design: sequential (best-of-3 when `full`) and one
+/// parallel run.
 struct PointResult {
     seq_stats: LegalizeStats,
     seq_state: PlacementState,
     seq_wall: f64,
-    exh: Option<(LegalizeStats, PlacementState, f64)>,
     par_stats: LegalizeStats,
     par_state: PlacementState,
     speedup: f64,
@@ -309,7 +305,6 @@ struct PointResult {
 fn single_point(
     design: &Design,
     lcfg: &LegalizerConfig,
-    seed: u64,
     threads: usize,
     full: bool,
 ) -> PointResult {
@@ -344,38 +339,14 @@ fn single_point(
         seq_stats.placed as f64 / seq_wall.max(1e-12)
     );
 
-    // Same seed and order with branch-and-bound pruning disabled: the
-    // baseline the pruned kernel must match bit-for-bit and outrun.
-    let exh = if full {
-        let exhaustive = Legalizer::new(lcfg.clone().with_seed(seed).with_prune(false));
-        let mut exh_state = PlacementState::new(design);
-        let exh_stats = exhaustive
-            .legalize(design, &mut exh_state)
-            .expect("exhaustive legalization");
-        let seq_disp = displacement_stats(design, &seq_state);
-        let exh_disp = displacement_stats(design, &exh_state);
-        assert!(
-            seq_disp.total_sites == exh_disp.total_sites
-                && seq_disp.max_sites == exh_disp.max_sites,
-            "pruned and exhaustive searches disagree: {} vs {} total sites",
-            seq_disp.total_sites,
-            exh_disp.total_sites
-        );
-        let prune_ratio = exh_stats.phases.combos_evaluated as f64
-            / (seq_stats.phases.combos_evaluated as f64).max(1.0);
-        println!(
-            "pruning:    generated {}, bounded out {}, evaluated {} ({:.2}x fewer than \
-             the {} exhaustive evaluations)",
-            seq_stats.phases.combos_generated,
-            seq_stats.phases.combos_pruned,
-            seq_stats.phases.combos_evaluated,
-            prune_ratio,
-            exh_stats.phases.combos_evaluated,
-        );
-        Some((exh_stats, exh_state, prune_ratio))
-    } else {
-        None
-    };
+    let p = &seq_stats.phases;
+    println!(
+        "pruning:    generated {}, bounded out {}, evaluated {} ({:.2}x fewer than generated)",
+        p.combos_generated,
+        p.combos_pruned,
+        p.combos_evaluated,
+        prune_ratio(&seq_stats),
+    );
 
     let mut par_state = PlacementState::new(design);
     let par_stats = legalizer
@@ -398,15 +369,20 @@ fn single_point(
         seq_stats,
         seq_state,
         seq_wall,
-        exh,
         par_stats,
         par_state,
         speedup,
     }
 }
 
-/// The standard single-design report (sequential / exhaustive / parallel
-/// sections plus the traced metrics digest). Requires a `full` point.
+/// Generated combos per evaluated combo: the factor by which the best-first
+/// search scores fewer insertion points than the enumeration generates.
+fn prune_ratio(stats: &LegalizeStats) -> f64 {
+    stats.phases.combos_generated as f64 / (stats.phases.combos_evaluated as f64).max(1.0)
+}
+
+/// The standard single-design report (sequential / parallel sections plus
+/// the traced metrics digest).
 fn full_report(
     design: &Design,
     lcfg: &LegalizerConfig,
@@ -435,7 +411,6 @@ fn full_report(
     benchmark.set("density", design.density());
     benchmark.set("seed", seed as i64);
 
-    let (exh_stats, exh_state, prune_ratio) = point.exh.as_ref().expect("full point");
     let mut root = Json::obj();
     root.set("benchmark", benchmark);
     root.set("threads", threads as i64);
@@ -443,13 +418,12 @@ fn full_report(
         "sequential",
         run_to_json(design, &point.seq_stats, &point.seq_state),
     );
-    root.set("exhaustive", run_to_json(design, exh_stats, exh_state));
     root.set(
         "parallel",
         run_to_json(design, &point.par_stats, &point.par_state),
     );
     root.set("speedup", point.speedup);
-    root.set("prune_ratio", *prune_ratio);
+    root.set("prune_ratio", prune_ratio(&point.seq_stats));
     root.set("metrics", metrics_json);
     root
 }
@@ -523,7 +497,7 @@ fn run_sweep(
         let gen_start = std::time::Instant::now();
         let design = generate(&spec, &gen_cfg).expect("generate benchmark");
         let gen_s = gen_start.elapsed().as_secs_f64();
-        let point = single_point(&design, lcfg, seed, threads, full);
+        let point = single_point(&design, lcfg, threads, full);
         let rss = peak_rss_mb();
         if let Some(mb) = rss {
             println!("peak rss:   {mb:.0} MB after the {n}-cell point");

@@ -5,8 +5,7 @@
 //! mrl generate --bench fft_2 --scale 20 --out DIR [--format bookshelf|lefdef]
 //! mrl legalize (--aux F | --lef F --def F) [--relaxed] [--exact]
 //!              [--rx N --ry N] [--threads N] [--refine] [--detail N]
-//!              [--no-prune] [--out DIR] [--svg FILE]
-//!              [--trace FILE] [--metrics-json FILE]
+//!              [--out DIR] [--svg FILE] [--trace FILE] [--metrics-json FILE]
 //! mrl report   --metrics-json FILE [--svg FILE]
 //! mrl gp       (--aux F | --lef F --def F) --out DIR [--iterations N]
 //! mrl check    (--aux F | --lef F --def F) [--relaxed]
@@ -87,7 +86,6 @@ struct Opts {
     relaxed: bool,
     exact: bool,
     refine: bool,
-    no_prune: bool,
     detail: usize,
     iters: Option<u32>,
     cells: Option<usize>,
@@ -192,7 +190,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--relaxed" => o.relaxed = true,
             "--exact" => o.exact = true,
             "--refine" => o.refine = true,
-            "--no-prune" => o.no_prune = true,
             "--detail" => o.detail = val("--detail")?.parse().map_err(|_| fail("bad --detail"))?,
             other => return Err(fail(format!("unknown option {other}"))),
         }
@@ -239,9 +236,6 @@ fn legalizer_config(o: &Opts) -> LegalizerConfig {
     }
     if o.exact {
         cfg = cfg.with_eval_mode(EvalMode::Exact);
-    }
-    if o.no_prune {
-        cfg = cfg.with_prune(false);
     }
     cfg
 }
@@ -797,7 +791,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 return Err(fail("--inject-bug and --no-tiers are mutually exclusive"));
             }
             if o.inject_bug {
-                cfg = cfg.with_fault(mrl_fuzz::Fault::NoPruneOffByOne);
+                cfg = cfg.with_fault(mrl_fuzz::Fault::ThreadOffByOne);
             }
             if o.no_tiers {
                 // The escalation self-test: a dense campaign run with every
@@ -930,9 +924,8 @@ commands:
   generate --bench NAME --out DIR [--scale N] [--seed S] [--fences K]
            [--tall F] [--format bookshelf|lefdef]
   legalize (--aux F | --lef F --def F) [--relaxed] [--exact] [--rx N --ry N]
-           [--threads N] [--refine] [--detail N] [--no-prune] [--out DIR]
-           [--svg FILE] [--format bookshelf|lefdef]
-           [--trace FILE] [--metrics-json FILE]
+           [--threads N] [--refine] [--detail N] [--out DIR] [--svg FILE]
+           [--format bookshelf|lefdef] [--trace FILE] [--metrics-json FILE]
   report   --metrics-json FILE [--svg FILE]
   gp       (--aux F | --lef F --def F) --out DIR [--iterations N] [--seed S]
   check    (--aux F | --lef F --def F) [--relaxed]
@@ -1180,40 +1173,6 @@ mod tests {
         assert_eq!(
             outputs[0], outputs[1],
             "thread counts produced different .pl files"
-        );
-    }
-
-    #[test]
-    fn legalize_no_prune_matches_pruned_byte_for_byte() {
-        let dir = tmpdir("prune");
-        run(&args(&[
-            "generate",
-            "--bench",
-            "fft_2",
-            "--scale",
-            "100",
-            "--out",
-            dir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let aux = dir.join("fft_2.aux");
-        let mut outputs = Vec::new();
-        for flags in [&[][..], &["--no-prune"][..]] {
-            let out_dir = dir.join(if flags.is_empty() { "pruned" } else { "full" });
-            let mut argv = vec![
-                "legalize",
-                "--aux",
-                aux.to_str().unwrap(),
-                "--out",
-                out_dir.to_str().unwrap(),
-            ];
-            argv.extend_from_slice(flags);
-            run(&args(&argv)).unwrap();
-            outputs.push(std::fs::read_to_string(out_dir.join("fft_2.pl")).unwrap());
-        }
-        assert_eq!(
-            outputs[0], outputs[1],
-            "--no-prune produced a different .pl file"
         );
     }
 
@@ -1807,7 +1766,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert_eq!(err.code, 1);
-        assert!(err.message.contains("PruneMismatch"), "{}", err.message);
+        assert!(err.message.contains("ThreadMismatch"), "{}", err.message);
         let wrote_repro = std::fs::read_dir(&corpus)
             .unwrap()
             .any(|e| e.unwrap().path().join("repro.aux").exists());

@@ -10,7 +10,7 @@
 //! Each iteration derives a case seed from the master seed (splitmix64, so
 //! `--seed N` replays bit-identically), synthesizes a witness with randomly
 //! varied shape parameters, and runs the invariant matrix of
-//! [`matrix::run_matrix`]: independent legality checking, prune and thread
+//! [`matrix::run_matrix`]: independent legality checking, thread
 //! invariance, displacement bounds, x-translation equivariance, and
 //! baseline cross-validation. A discrepancy triggers the ddmin-style
 //! [`shrink::shrink`] reducer, and the minimal scenario is written to a
@@ -592,19 +592,29 @@ mod tests {
         );
     }
 
+    /// A directory under the system temp dir, removed on drop — also when
+    /// the test panics.
+    struct TmpDir(std::path::PathBuf);
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn injected_fault_is_caught_shrunk_and_written() {
-        let dir = std::env::temp_dir().join(format!("mrl_fuzz_lib_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TmpDir(std::env::temp_dir().join(format!("mrl_fuzz_lib_{}", std::process::id())));
+        let _ = std::fs::remove_dir_all(&dir.0);
         let cfg = FuzzConfig::new(1)
             .with_iters(1)
             .with_max_cells(40)
-            .with_fault(Fault::NoPruneOffByOne)
-            .with_corpus_dir(dir.clone());
+            .with_fault(Fault::ThreadOffByOne)
+            .with_corpus_dir(dir.0.clone());
         let report = fuzz(&cfg);
         assert_eq!(report.failures.len(), 1, "{}", report.summary());
         let f = &report.failures[0];
-        assert_eq!(f.kind, DiscrepancyKind::PruneMismatch);
+        assert_eq!(f.kind, DiscrepancyKind::ThreadMismatch);
         assert!(f.shrunk.cells.len() <= 12);
         let path = f.corpus_path.as_ref().expect("reproducer written");
         assert!(path.join("repro.aux").exists());
@@ -612,7 +622,6 @@ mod tests {
         // The JSON artifact records the seeds.
         let json = report.to_json().pretty();
         assert!(json.contains("case_seed"));
-        assert!(json.contains("prune_mismatch"));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(json.contains("thread_mismatch"));
     }
 }

@@ -8,8 +8,6 @@
 //! * **independent legality** — every produced placement must pass
 //!   [`mrl_metrics::check_legal`], which shares no code with the
 //!   legalizer's incremental bookkeeping;
-//! * **prune invariance** — branch-and-bound pruning must return the
-//!   byte-identical placement of the exhaustive search;
 //! * **thread invariance** — the parallel stripe driver must match the
 //!   sequential driver for every thread count;
 //! * **displacement bound** — the witness achieves a known average
@@ -37,9 +35,9 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Fault {
-    /// Emulates an off-by-one realize shift in the exhaustive (no-prune)
-    /// search: the last placed cell's x is reported one site off.
-    NoPruneOffByOne,
+    /// Emulates an off-by-one realize shift in the parallel driver: the
+    /// last placed cell of the first parallel run is reported one site off.
+    ThreadOffByOne,
     /// Disables every escalation tier in all matrix configurations. Under
     /// the dense regime this must produce `LegalizeFailed` discrepancies —
     /// the self-test proving the dense matrix actually depends on the
@@ -103,8 +101,6 @@ pub enum DiscrepancyKind {
     LegalizeFailed,
     /// The sequential result failed the independent checker.
     IllegalResult,
-    /// Pruned and exhaustive searches returned different placements.
-    PruneMismatch,
     /// A parallel run differed from the sequential result.
     ThreadMismatch,
     /// Rail-relaxed legalization failed.
@@ -145,7 +141,6 @@ impl DiscrepancyKind {
             DiscrepancyKind::BuildFailed => "build_failed",
             DiscrepancyKind::LegalizeFailed => "legalize_failed",
             DiscrepancyKind::IllegalResult => "illegal_result",
-            DiscrepancyKind::PruneMismatch => "prune_mismatch",
             DiscrepancyKind::ThreadMismatch => "thread_mismatch",
             DiscrepancyKind::RelaxedFailed => "relaxed_failed",
             DiscrepancyKind::RelaxedIllegal => "relaxed_illegal",
@@ -165,7 +160,6 @@ impl DiscrepancyKind {
             DiscrepancyKind::BuildFailed,
             DiscrepancyKind::LegalizeFailed,
             DiscrepancyKind::IllegalResult,
-            DiscrepancyKind::PruneMismatch,
             DiscrepancyKind::ThreadMismatch,
             DiscrepancyKind::RelaxedFailed,
             DiscrepancyKind::RelaxedIllegal,
@@ -280,7 +274,7 @@ pub fn run_matrix(scenario: &Scenario, opts: &MatrixOptions) -> Vec<Discrepancy>
             .all(|(id, p)| st.place(&design, id, p).is_ok())
     });
 
-    // Sequential pruned run: the reference all others are compared to.
+    // Sequential run: the reference all others are compared to.
     let mut base_state = PlacementState::new(&design);
     let base = Legalizer::new(cfg.clone()).legalize(&design, &mut base_state);
     let base_pos = match base {
@@ -334,33 +328,8 @@ pub fn run_matrix(scenario: &Scenario, opts: &MatrixOptions) -> Vec<Discrepancy>
         }
     }
 
-    // Exhaustive (no-prune) search must match bit for bit.
-    {
-        let mut state = PlacementState::new(&design);
-        match Legalizer::new(cfg.clone().with_prune(false)).legalize(&design, &mut state) {
-            Err(e) => out.push(Discrepancy {
-                kind: DiscrepancyKind::PruneMismatch,
-                detail: format!("exhaustive search failed where pruned succeeded: {e}"),
-            }),
-            Ok(_) => {
-                let mut pos = positions_of(&design, &state);
-                if opts.fault == Some(Fault::NoPruneOffByOne) {
-                    if let Some(p) = pos.iter_mut().rev().find_map(|p| p.as_mut()) {
-                        p.0 += 1; // the injected "realize shift" bug
-                    }
-                }
-                if pos != base_pos {
-                    out.push(Discrepancy {
-                        kind: DiscrepancyKind::PruneMismatch,
-                        detail: first_difference(&design, &base_pos, &pos, 0),
-                    });
-                }
-            }
-        }
-    }
-
     // Thread invariance: the stripe driver for every configured count.
-    for &threads in &opts.threads {
+    for (run, &threads) in opts.threads.iter().enumerate() {
         let mut state = PlacementState::new(&design);
         match Legalizer::new(cfg.clone()).legalize_parallel(&design, &mut state, threads) {
             Err(e) => out.push(Discrepancy {
@@ -368,7 +337,12 @@ pub fn run_matrix(scenario: &Scenario, opts: &MatrixOptions) -> Vec<Discrepancy>
                 detail: format!("parallel driver ({threads} threads) failed: {e}"),
             }),
             Ok(_) => {
-                let pos = positions_of(&design, &state);
+                let mut pos = positions_of(&design, &state);
+                if run == 0 && opts.fault == Some(Fault::ThreadOffByOne) {
+                    if let Some(p) = pos.iter_mut().rev().find_map(|p| p.as_mut()) {
+                        p.0 += 1; // the injected "realize shift" bug
+                    }
+                }
                 if pos != base_pos {
                     out.push(Discrepancy {
                         kind: DiscrepancyKind::ThreadMismatch,

@@ -229,16 +229,16 @@ mod tests {
         let w = generate_witness(&WitnessConfig::new(3).with_cells(40)).unwrap();
         let s = Scenario::from_witness(&w);
         let mut opts = MatrixOptions::new(3);
-        opts.fault = Some(Fault::NoPruneOffByOne);
+        opts.fault = Some(Fault::ThreadOffByOne);
         opts.baselines = false;
-        assert!(reproduces(&s, &opts, DiscrepancyKind::PruneMismatch));
-        let (small, stats) = shrink(&s, &opts, DiscrepancyKind::PruneMismatch, 400);
+        assert!(reproduces(&s, &opts, DiscrepancyKind::ThreadMismatch));
+        let (small, stats) = shrink(&s, &opts, DiscrepancyKind::ThreadMismatch, 400);
         assert!(
             small.cells.len() <= 12,
             "expected ≤12 cells, got {} ({stats:?})",
             small.cells.len()
         );
-        assert!(reproduces(&small, &opts, DiscrepancyKind::PruneMismatch));
+        assert!(reproduces(&small, &opts, DiscrepancyKind::ThreadMismatch));
         assert!(stats.cells_after < stats.cells_before);
     }
 
@@ -247,7 +247,7 @@ mod tests {
         let w = generate_witness(&WitnessConfig::new(9).with_cells(20)).unwrap();
         let s = Scenario::from_witness(&w);
         let opts = MatrixOptions::new(9);
-        let (same, stats) = shrink(&s, &opts, DiscrepancyKind::PruneMismatch, 50);
+        let (same, stats) = shrink(&s, &opts, DiscrepancyKind::ThreadMismatch, 50);
         assert_eq!(same.cells.len(), s.cells.len());
         assert_eq!(stats.oracle_calls, 1);
     }

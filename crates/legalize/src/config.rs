@@ -183,12 +183,6 @@ pub struct LegalizerConfig {
     /// paper loops until success; a bound keeps pathological inputs from
     /// hanging and is never reached on sane densities.
     pub max_retry_iters: u32,
-    /// Best-first branch-and-bound pruning of the insertion-point search
-    /// (on by default). When disabled, every generated combination is
-    /// scored exhaustively in scanline order; both modes return the same
-    /// insertion point (ties broken by the scanline emission order), so
-    /// this knob only trades evaluation work for a bound computation.
-    pub prune: bool,
     /// Escalation ladder engaged when the retry loop keeps failing a cell
     /// (every tier on by default; [`EscalationConfig::disabled`] restores
     /// the pre-escalation retry loop bit-for-bit).
@@ -205,7 +199,6 @@ impl Default for LegalizerConfig {
             order: CellOrder::Input,
             seed: 0x9E37_79B9_7F4A_7C15,
             max_retry_iters: 4096,
-            prune: true,
             escalation: EscalationConfig::default(),
         }
     }
@@ -248,12 +241,6 @@ impl LegalizerConfig {
         self
     }
 
-    /// Returns `self` with branch-and-bound pruning switched on or off.
-    pub fn with_prune(mut self, prune: bool) -> Self {
-        self.prune = prune;
-        self
-    }
-
     /// Returns `self` with the retry-iteration cap replaced. Differential
     /// harnesses lower it so a genuinely stuck case fails fast instead of
     /// burning the full default budget.
@@ -273,14 +260,8 @@ impl fmt::Display for LegalizerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "Rx={} Ry={} rails={:?} eval={:?} order={:?} prune={} escalation=[{}]",
-            self.rx,
-            self.ry,
-            self.rail_mode,
-            self.eval_mode,
-            self.order,
-            self.prune,
-            self.escalation
+            "Rx={} Ry={} rails={:?} eval={:?} order={:?} escalation=[{}]",
+            self.rx, self.ry, self.rail_mode, self.eval_mode, self.order, self.escalation
         )
     }
 }
@@ -296,15 +277,7 @@ mod tests {
         assert_eq!(c.ry, 5);
         assert_eq!(c.rail_mode, PowerRailMode::Aligned);
         assert_eq!(c.eval_mode, EvalMode::Approximate);
-        assert!(c.prune, "pruning is on by default");
         assert_eq!(LegalizerConfig::paper(), c);
-    }
-
-    #[test]
-    fn prune_setter_round_trips() {
-        let c = LegalizerConfig::default().with_prune(false);
-        assert!(!c.prune);
-        assert!(c.to_string().contains("prune=false"));
     }
 
     #[test]

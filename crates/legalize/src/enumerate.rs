@@ -26,35 +26,33 @@
 //! touches a queue. Power-rail filtering simply skips windows whose bottom
 //! row cannot host the target.
 //!
-//! # Search strategies
+//! # Best-first search
 //!
-//! The scanline only *generates* combinations; how they are scored is a
-//! [`LegalizerConfig::prune`] choice:
+//! [`enumerate_insertion_points`] scores every combination the scanline
+//! generates; the legalizer's [`find_best_insertion_point`] returns the
+//! first of them with the least cost ([`first_minimum`]) without scoring
+//! them all. Each combination enters a binary heap keyed by an *admissible
+//! lower bound* on its cost — the horizontal distance from `target.x` to
+//! the combination's feasible range plus the exact [`vertical_cost`] of its
+//! row band. Combinations are then popped cheapest-bound-first and scored;
+//! as soon as a popped bound can no longer beat the incumbent (bound above
+//! the best cost, or equal with a later emission rank), the entire
+//! remaining heap is pruned. The bound is a true lower bound because both
+//! evaluators add the target's own hinge `|x − target.x| ≥ dist(target.x,
+//! range)` to a non-negative sum, and both add the identical vertical
+//! term, so the search returns the enumeration's first minimum bit for
+//! bit — same insertion point, ties broken by the same emission order.
+//! Debug builds check every search against it.
 //!
-//! * **Exhaustive** (`prune = false`): every generated combination is
-//!   scored in emission order and the first minimum wins.
-//! * **Best-first** (`prune = true`, the default): each combination enters
-//!   a binary heap keyed by an *admissible lower bound* on its cost — the
-//!   horizontal distance from `target.x` to the combination's feasible
-//!   range plus the exact [`vertical_cost`] of its row band. Combinations
-//!   are then popped cheapest-bound-first and scored; as soon as a popped
-//!   bound can no longer beat the incumbent (bound above the best cost, or
-//!   equal with a later emission rank), the entire remaining heap is
-//!   pruned. The bound is a true lower bound because both evaluators add
-//!   the target's own hinge `|x − target.x| ≥ dist(target.x, range)` to a
-//!   non-negative sum, and both add the identical vertical term, so the
-//!   search returns bit-identical results to the exhaustive path — same
-//!   insertion point, ties broken by the same emission order.
-//!
-//! A one-row target skips the scanline in the best-first search. Each of
-//! its intervals is one insertion point, every row accepts it (odd-height
-//! cells flip), and the scanline would emit it at its left endpoint, in
-//! `(range.lo, interval index)` order. So the search builds one candidate
-//! per interval straight from the interval list, with that pair as the
-//! tie-break key in place of the emission rank: same bounds, same pop
-//! order, same result and the same combo counters, with no events, sort or
-//! replay. The exhaustive path keeps the scanline for every height, so it
-//! stays an independent reference.
+//! A one-row target skips the scanline. Each of its intervals is one
+//! insertion point, every row accepts it (odd-height cells flip), and the
+//! scanline would emit it at its left endpoint, in `(range.lo, interval
+//! index)` order. So the search builds one candidate per interval straight
+//! from the interval list, with that pair as the tie-break key in place of
+//! the emission rank: same bounds, same pop order, same result and the
+//! same combo counters, with no events, sort or replay.
+//! [`enumerate_insertion_points`] keeps the scanline for every height, so
+//! it stays an independent reference.
 
 use crate::config::{EvalMode, LegalizerConfig, PowerRailMode};
 use crate::evaluate::{evaluate_exact_in, evaluate_in, vertical_cost, Evaluation, TargetSpec};
@@ -134,11 +132,14 @@ pub fn enumerate_insertion_points(
     out
 }
 
-/// Returns the minimum-cost valid insertion point, if any exists.
+/// Returns the minimum-cost valid insertion point, if any exists: the
+/// [`first_minimum`] of [`enumerate_insertion_points`], found by the
+/// best-first search.
 ///
 /// Runs on `ctx`'s arena, allocation-free once it is warm. The whole scan
 /// is probed as [`Phase::Enumerate`] and each scored candidate within it as
-/// [`Phase::Evaluate`].
+/// [`Phase::Evaluate`]. Builds with debug assertions check every result
+/// against the enumeration after the probe closes.
 pub fn find_best_insertion_point(
     region: &LocalRegion,
     design: &Design,
@@ -168,23 +169,34 @@ pub fn find_best_insertion_point(
         ..
     } = arena;
     let best = if prepare(region, design, target, cfg, intervals, rail_ok) {
-        let intervals: &[InsInterval] = intervals;
-        if cfg.prune {
-            best_first(
-                region, target, cfg, aspect, intervals, events, rail_ok, queues, combo, combo_buf,
-                pool, cands, best_combo, eval, phases, trace,
-            )
-        } else {
-            exhaustive(
-                region, target, cfg, aspect, intervals, events, rail_ok, queues, combo, combo_buf,
-                best_combo, eval, phases, trace,
-            )
-        }
+        best_first(
+            region, target, cfg, aspect, intervals, events, rail_ok, queues, combo, combo_buf,
+            pool, cands, best_combo, eval, phases, trace,
+        )
     } else {
         None
     };
     probe.close(phases, trace);
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        best,
+        first_minimum(enumerate_insertion_points(region, design, target, cfg)),
+        "best-first search disagrees with the enumeration's first minimum for {target:?}"
+    );
     best
+}
+
+/// The first point of least cost in `points`, which for the output of
+/// [`enumerate_insertion_points`] is the point
+/// [`find_best_insertion_point`] returns for the same search.
+pub fn first_minimum(points: Vec<InsertionPoint>) -> Option<InsertionPoint> {
+    points.into_iter().reduce(|best, p| {
+        if p.eval.cost < best.eval.cost {
+            p
+        } else {
+            best
+        }
+    })
 }
 
 /// Builds the insertion intervals and rail filter for one search into the
@@ -244,8 +256,8 @@ fn scan_events(intervals: &[InsInterval], close: bool, events: &mut Vec<ScanEven
 
 /// The scanline core: builds the endpoint events into `events`, then
 /// invokes `emit(t, interval_ids)` for every valid insertion point in
-/// deterministic emission order (identical for both search strategies, so
-/// they search the same candidate set).
+/// deterministic emission order: the order [`enumerate_insertion_points`]
+/// reports and the best-first search breaks ties by.
 #[allow(clippy::too_many_arguments)]
 fn generate<F>(
     region: &LocalRegion,
@@ -385,64 +397,6 @@ fn product_emit<F>(
     }
 }
 
-/// Exhaustive search: score every generated combination in emission order;
-/// the first minimum wins (strict `<` replacement).
-#[allow(clippy::too_many_arguments)]
-fn exhaustive(
-    region: &LocalRegion,
-    target: &TargetSpec,
-    cfg: &LegalizerConfig,
-    aspect: f64,
-    intervals: &[InsInterval],
-    events: &mut Vec<ScanEvent>,
-    rail_ok: &[bool],
-    queues: &mut Vec<Vec<u32>>,
-    combo: &mut Vec<u32>,
-    combo_buf: &mut Vec<InsInterval>,
-    best_combo: &mut Vec<u32>,
-    eval: &mut EvalScratch,
-    phases: &mut PhaseTimes,
-    trace: &mut Option<TraceBuf>,
-) -> Option<InsertionPoint> {
-    let mut best: Option<(usize, Evaluation)> = None;
-    generate(
-        region,
-        target,
-        intervals,
-        events,
-        rail_ok,
-        queues,
-        combo,
-        &mut |t, ids| {
-            phases.combos_generated += 1;
-            phases.combos_evaluated += 1;
-            combo_buf.clear();
-            combo_buf.extend(ids.iter().map(|&j| intervals[j as usize]));
-            let probe = Probe::open(Phase::Evaluate, trace);
-            let ev = score(
-                region,
-                combo_buf,
-                target,
-                region.bottom_row + t as i32,
-                aspect,
-                cfg,
-                eval,
-            );
-            probe.close(phases, trace);
-            if best.as_ref().is_none_or(|(_, b)| ev.cost < b.cost) {
-                best = Some((t, ev));
-                best_combo.clear();
-                best_combo.extend_from_slice(ids);
-            }
-        },
-    );
-    best.map(|(t, ev)| InsertionPoint {
-        bottom_row: t,
-        intervals: best_combo.iter().map(|&j| intervals[j as usize]).collect(),
-        eval: ev,
-    })
-}
-
 /// The admissible lower bound of a combination whose intervals share the
 /// feasible range `range`, with bottom row `bottom_row_global`: the
 /// target's own hinge contributes at least its distance to the range, every
@@ -531,9 +485,9 @@ fn one_row_key(lo: i32, index: usize) -> u64 {
 
 /// Best-first branch-and-bound: build every candidate with its admissible
 /// lower bound, then pop them cheapest-bound-first and stop as soon as the
-/// incumbent can no longer be beaten. Result-identical to [`exhaustive`].
-/// A one-row target's candidates come straight from the intervals; taller
-/// targets run the scanline.
+/// incumbent can no longer be beaten. Returns the [`first_minimum`] of
+/// [`enumerate_insertion_points`]. A one-row target's candidates come
+/// straight from the intervals; taller targets run the scanline.
 #[allow(clippy::too_many_arguments)]
 fn best_first(
     region: &LocalRegion,
@@ -869,11 +823,33 @@ mod tests {
         }
     }
 
+    /// Runs one search in a fresh context and checks it against the
+    /// enumeration: the enumeration's first minimum, every enumerated point
+    /// generated, none evaluated that was not generated, and each generated
+    /// point either pruned or evaluated. Returns the search's counters.
+    fn search_matches_enumeration(
+        region: &LocalRegion,
+        design: &Design,
+        t: &TargetSpec,
+        cfg: &LegalizerConfig,
+    ) -> PhaseTimes {
+        let points = enumerate_insertion_points(region, design, t, cfg);
+        let generated = points.len() as u64;
+        let mut ctx = LegalizeCtx::new();
+        let found = find_best_insertion_point(region, design, t, cfg, &mut ctx);
+        assert_eq!(found, first_minimum(points));
+        let p = ctx.stats.phases;
+        assert_eq!(p.combos_generated, generated);
+        assert!(p.combos_evaluated <= generated);
+        assert_eq!(p.combos_pruned + p.combos_evaluated, p.combos_generated);
+        p
+    }
+
     #[test]
     fn pruned_search_matches_exhaustive_and_prunes() {
-        // A row with several gaps far from the target: the pruned search
-        // must return the identical point while exactly-evaluating fewer
-        // combinations than it generated.
+        // A row with several gaps far from the target: the search must
+        // return the enumeration's first minimum while exactly-evaluating
+        // fewer combinations than it generated.
         let (region, _, design) = setup(
             2,
             60,
@@ -886,24 +862,12 @@ mod tests {
                 (3, 1, 30, 1),
             ],
         );
-        let t = target(2, 1, 26, 0);
-        let pruned_cfg = relaxed();
-        let exhaustive_cfg = relaxed().with_prune(false);
-        let mut pruned_ctx = LegalizeCtx::new();
-        let mut full_ctx = LegalizeCtx::new();
-        let pruned = find_best_insertion_point(&region, &design, &t, &pruned_cfg, &mut pruned_ctx);
-        let full = find_best_insertion_point(&region, &design, &t, &exhaustive_cfg, &mut full_ctx);
-        assert_eq!(pruned, full);
-        let (pt, et) = (pruned_ctx.stats.phases, full_ctx.stats.phases);
-        assert_eq!(pt.combos_generated, et.combos_generated);
-        assert_eq!(et.combos_evaluated, et.combos_generated);
-        assert_eq!(et.combos_pruned, 0);
-        assert_eq!(pt.combos_pruned + pt.combos_evaluated, pt.combos_generated);
+        let p = search_matches_enumeration(&region, &design, &target(2, 1, 26, 0), &relaxed());
         assert!(
-            pt.combos_evaluated < pt.combos_generated,
+            p.combos_evaluated < p.combos_generated,
             "expected pruning on this fixture: {} evaluated of {} generated",
-            pt.combos_evaluated,
-            pt.combos_generated
+            p.combos_evaluated,
+            p.combos_generated
         );
     }
 
@@ -915,10 +879,8 @@ mod tests {
             &[(3, 1, 4, 0), (3, 1, 9, 0), (2, 2, 20, 0), (2, 1, 30, 1)],
         );
         let t = target(2, 2, 12, 0);
-        let base = relaxed().with_eval_mode(EvalMode::Exact);
-        let pruned = best(&region, &design, &t, &base.clone());
-        let full = best(&region, &design, &t, &base.with_prune(false));
-        assert_eq!(pruned, full);
+        let cfg = relaxed().with_eval_mode(EvalMode::Exact);
+        search_matches_enumeration(&region, &design, &t, &cfg);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! Every tier is RNG-free and runs from the (sequential, deterministically
 //! ordered) retry loop, so escalated runs stay bit-identical across thread
-//! counts and prune settings. Chains only touch cells inside MLL-sized
+//! counts. Chains only touch cells inside MLL-sized
 //! windows of positions derived from the target, so escalated moves stay
 //! within the same halo radius the stripe scheduler already assumes —
 //! escalation never runs inside stripes regardless, only in the residue

@@ -76,7 +76,9 @@ mod scratch;
 
 pub use config::{CellOrder, EscalationConfig, EvalMode, LegalizerConfig, PowerRailMode};
 pub use detailed::{DetailedConfig, DetailedPlacer, DetailedStats};
-pub use enumerate::{enumerate_insertion_points, find_best_insertion_point, InsertionPoint};
+pub use enumerate::{
+    enumerate_insertion_points, find_best_insertion_point, first_minimum, InsertionPoint,
+};
 pub use escalate::{ilp_place_window, solve_window_milp};
 pub use evaluate::{evaluate, evaluate_exact, Evaluation, TargetSpec};
 pub use interval::InsInterval;

@@ -7,7 +7,9 @@
 //! events, pairing queues, combination stacks, the branch-and-bound
 //! candidate pool, and the critical-position vectors — so that after the
 //! first few attempts warm the capacities, the steady-state kernel performs
-//! **zero heap allocations**.
+//! **zero heap allocations** in release builds. Debug builds also check
+//! every insertion-point search against `enumerate_insertion_points`,
+//! which scores on a fresh arena of its own.
 //!
 //! Ownership rules (also documented in DESIGN.md §6):
 //!
@@ -51,9 +53,9 @@ pub(crate) struct Candidate {
     /// Admissible lower bound on the combination's total cost.
     pub bound: f64,
     /// Tie-break key, unique within one search and ordered like the
-    /// scanline emission rank (the exhaustive tie-break order): the rank
-    /// itself, or for a one-row target `(range.lo, interval index)` packed
-    /// into one integer.
+    /// scanline emission rank (the order in which the enumeration's first
+    /// minimum wins ties): the rank itself, or for a one-row target
+    /// `(range.lo, interval index)` packed into one integer.
     pub key: u64,
     /// Local bottom row of the spanned window.
     pub bottom_row: u32,
@@ -111,8 +113,8 @@ pub(crate) struct EvalScratch {
 pub struct ScratchArena {
     /// Insertion intervals of the current region/target.
     pub(crate) intervals: Vec<InsInterval>,
-    /// Scanline endpoint events over `intervals` (not built for a pruned
-    /// one-row search).
+    /// Scanline endpoint events over `intervals` (not built for a
+    /// best-first one-row search).
     pub(crate) events: Vec<ScanEvent>,
     /// Per-window-bottom-row power-rail feasibility.
     pub(crate) rail_ok: Vec<bool>,

@@ -7,7 +7,8 @@
 //!
 //! * legalization output always satisfies the independent checker,
 //! * the scanline insertion-point enumeration equals a naive
-//!   reference enumerator,
+//!   reference enumerator, and the best-first search returns that
+//!   enumeration's first minimum,
 //! * the exact evaluator's cost equals the realized displacement,
 //! * exact-mode MLL equals the MILP local optimum,
 //! * leftmost/rightmost placements bound every legal same-order position,
@@ -18,8 +19,8 @@
 use mrl_db::{CellId, Design, DesignBuilder, PlacementState, Savepoint, SegId};
 use mrl_geom::{Interval, PowerRail, SitePoint, SiteRect};
 use mrl_legalize::{
-    enumerate_insertion_points, find_best_insertion_point, mll, realize, EvalMode, LegalizeCtx,
-    Legalizer, LegalizerConfig, LocalRegion, PowerRailMode, TargetSpec,
+    enumerate_insertion_points, find_best_insertion_point, first_minimum, mll, realize, EvalMode,
+    LegalizeCtx, Legalizer, LegalizerConfig, LocalRegion, PowerRailMode, TargetSpec,
 };
 use mrl_metrics::{check_legal, RailCheck};
 use proptest::prelude::*;
@@ -314,9 +315,10 @@ proptest! {
         }
     }
 
-    /// The branch-and-bound best-first search returns the same insertion
-    /// point (row, intervals, x, cost) as the exhaustive path, and never
-    /// exactly-evaluates more combinations than the exhaustive path emits.
+    /// The branch-and-bound best-first search returns the first minimum of
+    /// the scanline's own enumeration (row, intervals, x, cost), generates
+    /// exactly the enumerated points, and never exactly-evaluates more
+    /// combinations than it generates.
     #[test]
     fn pruned_search_equals_exhaustive(s in scenario()) {
         let Some((design, state, target)) = build(&s) else { return Ok(()) };
@@ -336,39 +338,27 @@ proptest! {
             (EvalMode::Approximate, PowerRailMode::Aligned),
             (EvalMode::Exact, PowerRailMode::Aligned),
         ] {
-            let base = LegalizerConfig::default()
+            let cfg = LegalizerConfig::default()
                 .with_rail_mode(rail_mode)
                 .with_eval_mode(eval_mode);
-            let mut full_ctx = LegalizeCtx::new();
-            let full = find_best_insertion_point(
-                &region,
-                &design,
-                &spec,
-                &base.clone().with_prune(false),
-                &mut full_ctx,
-            );
-            let mut pruned_ctx = LegalizeCtx::new();
-            let pruned = find_best_insertion_point(
-                &region,
-                &design,
-                &spec,
-                &base.with_prune(true),
-                &mut pruned_ctx,
-            );
-            let (full_times, pruned_times) = (full_ctx.stats.phases, pruned_ctx.stats.phases);
-            prop_assert_eq!(&pruned, &full, "{:?}, {:?}", eval_mode, rail_mode);
+            let points = enumerate_insertion_points(&region, &design, &spec, &cfg);
+            let generated = points.len() as u64;
+            let mut ctx = LegalizeCtx::new();
+            let found = find_best_insertion_point(&region, &design, &spec, &cfg, &mut ctx);
+            let times = ctx.stats.phases;
+            prop_assert_eq!(&found, &first_minimum(points), "{:?}, {:?}", eval_mode, rail_mode);
             prop_assert_eq!(
-                pruned_times.combos_generated, full_times.combos_generated,
-                "both modes must consider the same candidate set"
+                times.combos_generated, generated,
+                "the search must consider exactly the enumerated points"
             );
             prop_assert!(
-                pruned_times.combos_evaluated <= full_times.combos_generated,
-                "pruned evaluated {} > exhaustive emitted {}",
-                pruned_times.combos_evaluated, full_times.combos_generated
+                times.combos_evaluated <= generated,
+                "evaluated {} > enumerated {}",
+                times.combos_evaluated, generated
             );
             prop_assert_eq!(
-                pruned_times.combos_pruned + pruned_times.combos_evaluated,
-                pruned_times.combos_generated,
+                times.combos_pruned + times.combos_evaluated,
+                times.combos_generated,
                 "every generated combo is either pruned or evaluated"
             );
         }
